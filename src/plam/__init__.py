@@ -8,6 +8,7 @@ from .syntax import (
     CONSTANTS,
     Free,
     Lam,
+    ResourceCapExceeded,
     Term,
     Var,
     alpha_eq,
@@ -22,7 +23,6 @@ from .syntax import (
 )
 from .bigstep import UNKNOWN, EvalResult, check_derivable, eval_fuel, eval_mass
 from .smallstep import (
-    ResourceCapExceeded,
     converge,
     h_inf_lower,
     head_step,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .prob import BOT, Dyadic, Distr, HALF, ONE, point
+from .prob import Dyadic, Distr, HALF, ONE, point
 from .syntax import App, Choice, Free, Lam, Term, Var, substitute
 
 
@@ -49,15 +49,16 @@ def _eval(term: Term, fuel: int) -> Distr:
     if isinstance(term, Choice):
         return _eval(term.left, fuel).scale(HALF) + _eval(term.right, fuel).scale(HALF)
     # application: evaluate the function part, then dispatch on its support
-    fun_distr = _eval(term.fun, fuel)
-    out = BOT
-    for h, w in fun_distr.items():
+    # collect every branch's pairs and build the result once: summing
+    # Distrs branch by branch re-merges the whole support on every branch
+    pairs = []
+    for h, w in _eval(term.fun, fuel).items():
         if isinstance(h, Lam):
             if fuel > 0:
-                out = out + _eval(substitute(h.body, term.arg), fuel - 1).scale(w)
+                pairs.extend(_eval(substitute(h.body, term.arg), fuel - 1).scale(w).items())
         else:
-            out = out + Distr([(App(h, term.arg), w)])
-    return out
+            pairs.append((App(h, term.arg), w))
+    return Distr(pairs)
 
 
 def eval_fuel(term: Term, fuel: int) -> EvalResult:

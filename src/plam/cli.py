@@ -20,7 +20,6 @@ from .fixtures import run_fixtures
 from .gen import closed_corpus
 from .prob import Distr, Dyadic
 from .smallstep import (
-    ResourceCapExceeded,
     h_inf_lower,
     head_step,
     spine_step,
@@ -30,6 +29,7 @@ from .smallstep import (
 from .syntax import (
     CONSTANTS,
     ParseError,
+    ResourceCapExceeded,
     Term,
     free_vars,
     is_hnf,
@@ -506,6 +506,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except ResourceCapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a term built during the run nests deeper than the interpreter stack
+        print("resource cap exceeded: term nested too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -17,6 +17,7 @@ from .syntax import (
     ChoiceRedex,
     HnfView,
     Lam,
+    ResourceCapExceeded,
     Term,
     classify,
     is_hnf,
@@ -26,10 +27,6 @@ from .bigstep import EvalResult
 DEFAULT_LEAF_CAP = 1 << 16
 
 StepOutcome = Tuple[Tuple[Dyadic, Term], ...]
-
-
-class ResourceCapExceeded(RuntimeError):
-    pass
 
 
 def _choice_outcome(plug: Callable[[Term], Term], redex: ChoiceRedex) -> StepOutcome:

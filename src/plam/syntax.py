@@ -13,9 +13,19 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 
 class Term:
-    """Base class; subclasses are Var, Free, Lam, App, Choice."""
+    """Base class; subclasses are Var, Free, Lam, App, Choice.
 
-    __slots__ = ("_hash",)
+    Every node carries `loose`, set once by its constructor: one more than
+    the largest binder index that occurs free in the node, or 0 when none
+    does (`Var` gives index+1, `Free` 0, `Lam` max(body.loose-1, 0), and
+    `App`/`Choice` the max of their children). A traversal that rewrites
+    the free indices at or above a cutoff (`shift`, substitution, opening
+    binders) leaves a node with `loose <= cutoff` unchanged, so it returns
+    that node itself: closed replacements such as each copy of `Theta` are
+    shared, not rebuilt.
+    """
+
+    __slots__ = ("_hash", "loose")
 
     def __hash__(self) -> int:
         return self._hash
@@ -33,6 +43,7 @@ class Var(Term):
         if index < 0:
             raise ValueError("binder index must be non-negative")
         self.index = index
+        self.loose = index + 1
         self._hash = hash((1, index))
 
     def __eq__(self, other):
@@ -48,6 +59,7 @@ class Free(Term):
 
     def __init__(self, name: str):
         self.name = name
+        self.loose = 0
         self._hash = hash((2, name))
 
     def __eq__(self, other):
@@ -61,6 +73,7 @@ class Lam(Term):
 
     def __init__(self, body: Term):
         self.body = body
+        self.loose = body.loose - 1 if body.loose else 0
         self._hash = hash((3, body._hash))
 
     def __eq__(self, other):
@@ -75,6 +88,8 @@ class App(Term):
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
+        # a conditional, not max(): node construction is the hot path
+        self.loose = fun.loose if fun.loose >= arg.loose else arg.loose
         self._hash = hash((4, fun._hash, arg._hash))
 
     def __eq__(self, other):
@@ -94,6 +109,7 @@ class Choice(Term):
     def __init__(self, left: Term, right: Term):
         self.left = left
         self.right = right
+        self.loose = left.loose if left.loose >= right.loose else right.loose
         self._hash = hash((5, left._hash, right._hash))
 
     def __eq__(self, other):
@@ -124,10 +140,10 @@ def size(t: Term) -> int:
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every binder index at or above `cutoff`."""
-    if isinstance(t, Var):
-        return Var(t.index + by) if t.index >= cutoff else t
-    if isinstance(t, Free):
+    if t.loose <= cutoff:
         return t
+    if isinstance(t, Var):
+        return Var(t.index + by)
     if isinstance(t, Lam):
         return Lam(shift(t.body, by, cutoff + 1))
     if isinstance(t, App):
@@ -136,12 +152,10 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
 
 
 def _subst_index(t: Term, j: int, repl: Term) -> Term:
-    if isinstance(t, Var):
-        if t.index == j:
-            return shift(repl, j)
-        return Var(t.index - 1) if t.index > j else t
-    if isinstance(t, Free):
+    if t.loose <= j:
         return t
+    if isinstance(t, Var):
+        return shift(repl, j) if t.index == j else Var(t.index - 1)
     if isinstance(t, Lam):
         return Lam(_subst_index(t.body, j + 1, repl))
     if isinstance(t, App):
@@ -152,19 +166,6 @@ def _subst_index(t: Term, j: int, repl: Term) -> Term:
 def substitute(body: Term, arg: Term) -> Term:
     """Capture-free substitution of a binder's body: (λ.body) arg ↦ body[arg]."""
     return _subst_index(body, 0, arg)
-
-
-def subst_free(t: Term, name: str, repl: Term, depth: int = 0) -> Term:
-    """Replace the free variable `name` by `repl`, shifting under binders."""
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Free):
-        return shift(repl, depth) if t.name == name else t
-    if isinstance(t, Lam):
-        return Lam(subst_free(t.body, name, repl, depth + 1))
-    if isinstance(t, App):
-        return App(subst_free(t.fun, name, repl, depth), subst_free(t.arg, name, repl, depth))
-    return Choice(subst_free(t.left, name, repl, depth), subst_free(t.right, name, repl, depth))
 
 
 def bind_name(t: Term, name: str, depth: int = 0) -> Term:
@@ -312,9 +313,18 @@ def is_hnf(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# Deepest nesting of binders, parentheses and choices that `parse` accepts.
+# The parser, evaluator and printer recurse once or more per level, so the
+# cap keeps every term that parses well inside Python's default stack.
+MAX_NESTING = 200
+
 _LAMBDA_CHARS = ("\\", "λ")
 _NAME_START = set(string.ascii_letters + "_")
 _NAME_CHARS = set(string.ascii_letters + string.digits + "_'")
+
+
+class ResourceCapExceeded(RuntimeError):
+    """A fixed resource cap (nesting, reduction states, trace nodes) was hit."""
 
 
 class ParseError(ValueError):
@@ -381,16 +391,13 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_term(self, env: List[str]) -> Term:
-        left = self.parse_lam_or_app(env)
-        if self.peek()[0] == "oplus":
-            self.next()
-            right = self.parse_term(env)
-            return Choice(left, right)
-        return left
-
-    def parse_lam_or_app(self, env: List[str]) -> Term:
+    def parse_term(self, env: List[str], depth: int) -> Term:
+        if depth > MAX_NESTING:
+            raise ResourceCapExceeded(
+                f"input nests deeper than {MAX_NESTING} levels (at position {self.peek()[2]})"
+            )
         if self.peek()[0] == "lambda":
+            # the body extends maximally to the right, taking any choice
             self.next()
             names = []
             while self.peek()[0] == "name":
@@ -399,19 +406,24 @@ class _Parser:
                 tok = self.peek()
                 raise ParseError("expected binder name after lambda", tok[2])
             self.expect("dot")
-            body = self.parse_term(list(reversed(names)) + env)
+            body = self.parse_term(list(reversed(names)) + env, depth + len(names))
             for _ in names:
                 body = Lam(body)
             return body
-        return self.parse_app(env)
+        left = self.parse_app(env, depth)
+        if self.peek()[0] == "oplus":
+            self.next()
+            right = self.parse_term(env, depth + 1)
+            return Choice(left, right)
+        return left
 
-    def parse_app(self, env: List[str]) -> Term:
-        t = self.parse_atom(env)
+    def parse_app(self, env: List[str], depth: int) -> Term:
+        t = self.parse_atom(env, depth)
         while self.peek()[0] in ("name", "lparen"):
-            t = App(t, self.parse_atom(env))
+            t = App(t, self.parse_atom(env, depth))
         return t
 
-    def parse_atom(self, env: List[str]) -> Term:
+    def parse_atom(self, env: List[str], depth: int) -> Term:
         kind, value, pos = self.next()
         if kind == "name":
             if value in env:
@@ -420,7 +432,7 @@ class _Parser:
                 return shift(self.constants[value], len(env))
             return Free(value)
         if kind == "lparen":
-            t = self.parse_term(env)
+            t = self.parse_term(env, depth + 1)
             self.expect("rparen")
             return t
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -431,12 +443,13 @@ def parse(text: str, constants=None) -> Term:
 
     Choice binds loosest and associates right; application is left
     associative; λ-bodies extend maximally to the right. Unbound names are
-    free variables unless they match a named constant.
+    free variables unless they match a named constant. Input nested deeper
+    than MAX_NESTING raises ResourceCapExceeded.
     """
     if constants is None:
         constants = CONSTANTS
     parser = _Parser(text, constants)
-    t = parser.parse_term([])
+    t = parser.parse_term([], 0)
     parser.expect("eof")
     return t
 

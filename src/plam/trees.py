@@ -121,15 +121,13 @@ def eta_tree(name: str, level: int, depth: int = 0) -> ProbTree:
 
 def _open_binders(t: Term, n: int, depth: int, cutoff: int = 0) -> Term:
     """Replace references to the n stripped binders by positional names."""
+    if t.loose <= cutoff:
+        return t
     if isinstance(t, Var):
         rel = t.index - cutoff
-        if rel < 0:
-            return t
         if rel < n:
             return Free(binder_ref(depth, n - rel))
         raise ValueError("dangling binder index in tree construction")
-    if isinstance(t, Free):
-        return t
     if isinstance(t, Lam):
         return Lam(_open_binders(t.body, n, depth, cutoff + 1))
     if isinstance(t, App):
@@ -277,8 +275,9 @@ def _cmp_vt(a: ValueTree, b: ValueTree, path: Tuple[int, ...]):
 def _cmp_pt(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
     if a.level != b.level:
         raise ValueError("tree level mismatch")
-    # descend through a unique equally weighted pair for a precise path
-    if len(a.entries) == 1 and len(b.entries) == 1:
+    # descend through a unique equally weighted pair for a precise path;
+    # only without deficits, since missing mass may still reach either key
+    if len(a.entries) == 1 and len(b.entries) == 1 and not (a.deficit or b.deficit):
         (ka, wa), (kb, wb) = a.entries[0], b.entries[0]
         if wa == wb:
             v = _cmp_vt(ka, kb, path)

@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from plam.gen import closed_corpus
+
+# `pythonpath` in pyproject.toml puts src/ on this process's path only;
+# tests that start `python -m plam.cli` need it in the environment too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 CORPUS_SEED = 12345
 CORPUS_SIZE = 500

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from plam.cli import main
+from plam.syntax import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -229,3 +230,31 @@ def test_entry_point_script():
     )
     assert proc.returncode == 0
     assert "1/2" in proc.stdout
+
+
+DEEP_SHAPES = (
+    lambda k: ["parse", "\\x." * k + "x"],
+    lambda k: ["eval", "x (+) " * k + "x"],
+    lambda k: ["eval", "(\\x.x) (" * k + "y" + ")" * k],
+)
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_deep_input_hits_nesting_cap(capsys, shape):
+    code, out, err = run(capsys, *shape(2000))
+    assert code == 2
+    assert out == ""
+    assert "nest" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    # just under the cap the same shape parses and evaluates
+    code, out, err = run(capsys, *shape(MAX_NESTING - 2))
+    assert code == 0 and out and not err
+
+
+def test_deep_intermediate_term_exits_with_cap_code(capsys):
+    # a long application spine is not nested syntax, but evaluating it
+    # recurses once per argument
+    code, out, err = run(capsys, "eval", "y" + " y" * 3000)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1

@@ -15,8 +15,10 @@ from plam.gen import random_term
 from plam.prob import Distr, Dyadic, ONE, ZERO
 from plam.smallstep import commute_witness, head_step, spine_step, step_n
 from plam.syntax import (
+    THETA,
     App,
     Choice,
+    Free,
     HnfView,
     Lam,
     Var,
@@ -25,6 +27,7 @@ from plam.syntax import (
     parse,
     pretty,
     shift,
+    substitute,
 )
 from plam.trees import Different, Equal, prob_tree, tree_eq
 
@@ -43,6 +46,13 @@ open_terms = st.builds(
     st.just(["a", "b", "y"]),
 )
 any_terms = st.one_of(closed_terms, open_terms)
+# terms with dangling binder indices, as found under binders during reduction
+index_open_terms = st.builds(
+    lambda seed, size, env: random_term(random.Random(seed), size, env, ["a", "y"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.integers(1, 3),
+)
 
 dyadics = st.builds(Dyadic, st.integers(0, 1 << 10), st.integers(0, 10))
 
@@ -193,3 +203,82 @@ def test_eval_support_is_hnf(t, f):
     for h, w in eval_fuel(t, f).distr.items():
         assert is_hnf(h)
         assert ZERO < w <= ONE
+
+
+# ---------------------------------------------------------------------------
+# Loose-index bounds: references without the `loose` shortcut
+
+
+def _ref_loose(t, binders=0):
+    if isinstance(t, Var):
+        return t.index - binders + 1 if t.index >= binders else 0
+    if isinstance(t, Free):
+        return 0
+    if isinstance(t, Lam):
+        return _ref_loose(t.body, binders + 1)
+    if isinstance(t, App):
+        return max(_ref_loose(t.fun, binders), _ref_loose(t.arg, binders))
+    return max(_ref_loose(t.left, binders), _ref_loose(t.right, binders))
+
+
+def _all_loose_exact(t):
+    if t.loose != _ref_loose(t):
+        return False
+    if isinstance(t, Lam):
+        return _all_loose_exact(t.body)
+    if isinstance(t, App):
+        return _all_loose_exact(t.fun) and _all_loose_exact(t.arg)
+    if isinstance(t, Choice):
+        return _all_loose_exact(t.left) and _all_loose_exact(t.right)
+    return True
+
+
+def _ref_shift(t, by, cutoff=0):
+    if isinstance(t, Var):
+        return Var(t.index + by) if t.index >= cutoff else t
+    if isinstance(t, Free):
+        return t
+    if isinstance(t, Lam):
+        return Lam(_ref_shift(t.body, by, cutoff + 1))
+    if isinstance(t, App):
+        return App(_ref_shift(t.fun, by, cutoff), _ref_shift(t.arg, by, cutoff))
+    return Choice(_ref_shift(t.left, by, cutoff), _ref_shift(t.right, by, cutoff))
+
+
+def _ref_subst(t, j, repl):
+    if isinstance(t, Var):
+        if t.index == j:
+            return _ref_shift(repl, j)
+        return Var(t.index - 1) if t.index > j else t
+    if isinstance(t, Free):
+        return t
+    if isinstance(t, Lam):
+        return Lam(_ref_subst(t.body, j + 1, repl))
+    if isinstance(t, App):
+        return App(_ref_subst(t.fun, j, repl), _ref_subst(t.arg, j, repl))
+    return Choice(_ref_subst(t.left, j, repl), _ref_subst(t.right, j, repl))
+
+
+some_terms = st.one_of(any_terms, index_open_terms)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(some_terms, some_terms, st.integers(0, 3), st.integers(0, 3))
+def test_loose_bound_matches_reference(t, u, by, cutoff):
+    assert _all_loose_exact(t)
+    assert _all_loose_exact(shift(t, by, cutoff))
+    assert _all_loose_exact(substitute(t, u))
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(some_terms, some_terms, st.integers(0, 3), st.integers(0, 3))
+def test_shift_and_substitute_match_reference(t, u, by, cutoff):
+    assert shift(t, by, cutoff) == _ref_shift(t, by, cutoff)
+    assert substitute(t, u) == _ref_subst(t, 0, u)
+
+
+def test_closed_terms_are_shared_not_rebuilt():
+    assert shift(THETA, 5) is THETA
+    body = parse(r"\f.f (f y)").body
+    out = substitute(body, THETA)
+    assert out.fun is THETA and out.arg.fun is THETA

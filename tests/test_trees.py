@@ -1,7 +1,8 @@
 import pytest
 
+from plam.equiv import refute_bisim
 from plam.prob import Dyadic, ONE, ZERO
-from plam.syntax import App, parse
+from plam.syntax import App, lam_close, parse
 from plam.trees import (
     Different,
     Equal,
@@ -141,3 +142,11 @@ def test_monotonicity_example():
         assert isinstance(
             tree_eq(prob_tree(a, lvl, 4), prob_tree(b, lvl, 4)), Equal
         )
+
+
+def test_missing_mass_blocks_single_pair_shortcut():
+    # y (+) I (I z) and z (+) I (I y) are equal once both I-steps are paid for
+    a, b = parse("y (+) I (I z)"), parse("z (+) I (I y)")
+    assert not isinstance(tree_eq(prob_tree(a, 1, 1), prob_tree(b, 1, 1)), Different)
+    assert isinstance(tree_eq(prob_tree(a, 1, 2), prob_tree(b, 1, 2)), Equal)
+    assert refute_bisim(lam_close(a), lam_close(b), fuel=1, tree_level=1) is None
