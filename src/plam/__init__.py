@@ -1,7 +1,7 @@
 """Exact-arithmetic interpreter and equivalence toolkit for the untyped
 probabilistic λ-calculus under head-style reduction."""
 
-from .prob import BOT, Distr, Dyadic, point
+from .prob import BOT, Approx, Distr, Dyadic, point
 from .syntax import (
     App,
     Choice,
@@ -11,7 +11,6 @@ from .syntax import (
     ResourceCapExceeded,
     Term,
     Var,
-    alpha_eq,
     classify,
     free_vars,
     is_hnf,
@@ -21,10 +20,9 @@ from .syntax import (
     size,
     substitute,
 )
-from .bigstep import UNKNOWN, EvalResult, check_derivable, eval_fuel, eval_mass
+from .bigstep import eval_fuel
 from .smallstep import (
     converge,
-    h_inf_lower,
     head_step,
     spine_step,
     step_n,

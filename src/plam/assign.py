@@ -15,7 +15,7 @@ max-flow suffices.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
 DEFAULT_N_CAP = 12
 

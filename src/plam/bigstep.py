@@ -11,90 +11,49 @@ is monotone in the fuel.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .prob import Dyadic, Distr, HALF, ONE, point
+from .prob import Approx, Distr, HALF, point
 from .syntax import App, Choice, Free, Lam, Term, Var, substitute
 
 
-class EvalResult:
-    """A lower approximation of the head-form semantics of a term."""
-
-    __slots__ = ("distr",)
-
-    def __init__(self, distr: Distr):
-        self.distr = distr
-
-    @property
-    def mass(self) -> Dyadic:
-        return self.distr.mass
-
-    @property
-    def deficit(self) -> Dyadic:
-        return ONE - self.distr.mass
-
-    def __eq__(self, other):
-        return isinstance(other, EvalResult) and other.distr == self.distr
-
-    def __repr__(self):
-        return f"EvalResult({self.distr!r}, deficit={self.deficit})"
-
-
-@lru_cache(maxsize=None)
-def _eval(term: Term, fuel: int) -> Distr:
+def _eval(term: Term, fuel: int, memo: dict) -> Distr:
+    # the memo lookup stays inline: one Python frame per term level
+    key = (term, fuel)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if isinstance(term, (Var, Free)):
-        return point(term)
-    if isinstance(term, Lam):
-        return _eval(term.body, fuel).map_support(Lam)
-    if isinstance(term, Choice):
-        return _eval(term.left, fuel).scale(HALF) + _eval(term.right, fuel).scale(HALF)
-    # application: evaluate the function part, then dispatch on its support
-    # collect every branch's pairs and build the result once: summing
-    # Distrs branch by branch re-merges the whole support on every branch
-    pairs = []
-    for h, w in _eval(term.fun, fuel).items():
-        if isinstance(h, Lam):
-            if fuel > 0:
-                pairs.extend(_eval(substitute(h.body, term.arg), fuel - 1).scale(w).items())
-        else:
-            pairs.append((App(h, term.arg), w))
-    return Distr(pairs)
+        out = point(term)
+    elif isinstance(term, Lam):
+        out = _eval(term.body, fuel, memo).map_support(Lam)
+    elif isinstance(term, Choice):
+        left = _eval(term.left, fuel, memo)
+        out = left.scale(HALF) + _eval(term.right, fuel, memo).scale(HALF)
+    else:
+        # application: evaluate the function part, then dispatch on its
+        # support; collect every branch's pairs and build the result once:
+        # summing Distrs branch by branch re-merges the whole support on
+        # every branch
+        pairs = []
+        for h, w in _eval(term.fun, fuel, memo).items():
+            if isinstance(h, Lam):
+                if fuel > 0:
+                    body = substitute(h.body, term.arg)
+                    pairs.extend(_eval(body, fuel - 1, memo).scale(w).items())
+            else:
+                pairs.append((App(h, term.arg), w))
+        out = Distr(pairs)
+    memo[key] = out
+    return out
 
 
-def eval_fuel(term: Term, fuel: int) -> EvalResult:
-    """Evaluate `term` with the given fuel budget."""
+def eval_fuel(term: Term, fuel: int) -> Approx:
+    """Evaluate `term` with the given fuel budget.
+
+    Subterm results are shared through a memo that lives for this call
+    only. The bound is exact when its deficit is zero: a lower bound of
+    mass 1 is the limit.
+    """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    return EvalResult(_eval(term, fuel))
-
-
-def eval_mass(term: Term, fuel: int) -> Dyadic:
-    """Total convergence mass of the fuel approximant."""
-    return eval_fuel(term, fuel).mass
-
-
-class _Unknown:
-    def __repr__(self):
-        return "UNKNOWN"
-
-    def __bool__(self):
-        return False
-
-
-UNKNOWN = _Unknown()
-
-
-def check_derivable(term: Term, d: Distr, fuel_cap: int):
-    """Semi-decide whether some derivation of the big-step rules reaches `d`.
-
-    Returns True when the fuel approximant dominates `d` within the cap
-    (monotonicity makes checking the cap alone sufficient), else the
-    UNKNOWN sentinel; never a definite False.
-    """
-    if d.leq(_eval(term, fuel_cap)):
-        return True
-    return UNKNOWN
-
-
-def clear_cache():
-    _eval.cache_clear()
+    distr = _eval(term, fuel, {})
+    return Approx(distr, not distr.deficit)

@@ -13,21 +13,14 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .assign import AssignmentProblem, AssignmentSolution, Infeasible, assignment_solve
+from .assign import AssignmentProblem, Infeasible, assignment_solve
 from .bigstep import eval_fuel
-from .equiv import Witness, TreeWitness, applicative_compare, refute_bisim, refute_sim
+from .equiv import DEFAULT_POOL_NAMES, TreeWitness, applicative_compare, refute_bisim, refute_sim
 from .fixtures import run_fixtures
 from .gen import closed_corpus
 from .prob import Distr, Dyadic
-from .smallstep import (
-    h_inf_lower,
-    head_step,
-    spine_step,
-    step_n,
-    trace_tree,
-)
+from .smallstep import head_step, spine_step, step_n, trace_tree
 from .syntax import (
-    CONSTANTS,
     ParseError,
     ResourceCapExceeded,
     Term,
@@ -37,7 +30,7 @@ from .syntax import (
     pretty,
     size,
 )
-from .trees import Different, Equal, ProbTree, Unknown, ValueTree, prob_tree, tree_eq
+from .trees import Different, Equal, ProbTree, ValueTree, prob_tree, tree_eq
 
 MAX_FUEL = 64
 MAX_STEPS = 512
@@ -45,6 +38,7 @@ MAX_LEVEL = 8
 MAX_DEPTH = 16
 
 _DEPTH_LETTERS = ["x", "z", "w", "v", "u"]
+DEFAULT_POOL = ",".join(DEFAULT_POOL_NAMES)
 
 
 class UsageError(Exception):
@@ -436,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term2")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--fuel", type=int, default=8)
-    p.add_argument("--pool", default="I,Omega,Delta,T,F")
+    p.add_argument("--pool", default=DEFAULT_POOL)
     p.add_argument("--tree-level", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_bisim)
@@ -446,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term2")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--fuel", type=int, default=8)
-    p.add_argument("--pool", default="I,Omega,Delta,T,F")
+    p.add_argument("--pool", default=DEFAULT_POOL)
     common(p)
     p.set_defaults(fn=cmd_sim)
 
@@ -455,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term2")
     p.add_argument("--fuel", type=int, default=8)
     p.add_argument("--maxlen", type=int, default=2)
-    p.add_argument("--pool", default="I,Omega,Delta,T,F")
+    p.add_argument("--pool", default=DEFAULT_POOL)
     common(p)
     p.set_defaults(fn=cmd_appcmp)
 

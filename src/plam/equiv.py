@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .prob import Dyadic, Distr, ONE, ZERO
-from .smallstep import ConvergeResult, converge
+from .prob import Approx, Dyadic, Distr, ONE
+from .smallstep import converge
 from .syntax import App, Lam, Term, free_vars, is_closed, lam_close, pretty, substitute
 from .trees import Different, prob_tree, tree_eq
 
@@ -90,34 +90,10 @@ class Apply:
 TAU = Tau()
 
 
-class TransitionResult:
-    """Successor distribution plus deficit interval information."""
-
-    __slots__ = ("distr", "exact")
-
-    def __init__(self, distr: Distr, exact: bool):
-        self.distr = distr
-        self.exact = exact
-
-    @property
-    def deficit(self) -> Dyadic:
-        return ONE - self.distr.mass
-
-    def lower(self, states) -> Dyadic:
-        total = ZERO
-        for s in states:
-            total = total + self.distr.weight(s)
-        return total
-
-    def upper(self, states) -> Dyadic:
-        total = self.lower(states)
-        return total if self.exact else total + self.deficit
+_EMPTY_EXACT = Approx(Distr(), True)
 
 
-_EMPTY_EXACT = TransitionResult(Distr(), True)
-
-
-def transitions(state, label, fuel: int, steps: Optional[int] = None) -> TransitionResult:
+def transitions(state, label, fuel: int, steps: Optional[int] = None) -> Approx:
     """Transition probabilities of the chain, as a certified lower bound.
 
     A term state evaluates under τ, landing on binder-peeled hnf states;
@@ -133,10 +109,10 @@ def transitions(state, label, fuel: int, steps: Optional[int] = None) -> Transit
             if not isinstance(h, Lam):
                 raise AssertionError("closed hnf without leading binder")
             pairs.append((HnfState(h.body), w))
-        return TransitionResult(Distr(pairs), res.exact)
+        return Approx(Distr(pairs), res.exact)
     if isinstance(state, HnfState) and isinstance(label, Apply):
         succ = TermState(substitute(state.body, label.argument))
-        return TransitionResult(Distr([(succ, ONE)]), True)
+        return Approx(Distr([(succ, ONE)]), True)
     return _EMPTY_EXACT
 
 
@@ -230,14 +206,14 @@ class Lab:
         self.pool = tuple(pool)
         self.tree_level = tree_level
         self.steps = steps
-        self._trans_memo: Dict[Tuple, TransitionResult] = {}
+        self._trans_memo: Dict[Tuple, Approx] = {}
         self._bisim_memo: Dict[Tuple, Optional[object]] = {}
         self._sim_memo: Dict[Tuple, Optional[object]] = {}
 
     def labels(self):
         return [TAU] + [Apply(p) for p in self.pool]
 
-    def trans(self, state, label) -> TransitionResult:
+    def trans(self, state, label) -> Approx:
         key = (state, label)
         if key not in self._trans_memo:
             self._trans_memo[key] = transitions(state, label, self.fuel, self.steps)
@@ -394,13 +370,8 @@ def _subsets(items) -> List[List]:
 
 
 def _closed_pair(m: Term, n: Term) -> Tuple[Term, Term]:
-    names = sorted(free_vars(m) | free_vars(n))
-    for name in reversed(names):
-        from .syntax import bind_name
-
-        m = Lam(bind_name(m, name))
-        n = Lam(bind_name(n, name))
-    return m, n
+    names = free_vars(m) | free_vars(n)
+    return lam_close(m, names), lam_close(n, names)
 
 
 def refute_bisim(
@@ -478,7 +449,7 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
 class SeqReport:
     __slots__ = ("args", "left", "right", "verdict")
 
-    def __init__(self, args, left: ConvergeResult, right: ConvergeResult, verdict: str):
+    def __init__(self, args, left: Approx, right: Approx, verdict: str):
         self.args = args
         self.left = left
         self.right = right

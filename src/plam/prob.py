@@ -25,10 +25,10 @@ class Dyadic:
             raise ValueError("dyadic exponent must be non-negative")
         if num == 0:
             exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+        elif not num & 1:  # an odd numerator, the common case, is already canonical
+            k = min((num & -num).bit_length() - 1, exp)
+            num >>= k
+            exp -= k
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -126,9 +126,15 @@ class Distr:
                 continue
             prev = weights.get(term)
             weights[term] = prev + w if prev is not None else w
-        mass = ZERO
+        # sum over the largest denominator seen so far, so that the mass
+        # is normalised once and not after every addition
+        num = exp = 0
         for w in weights.values():
-            mass = mass + w
+            if w.exp > exp:
+                num <<= w.exp - exp
+                exp = w.exp
+            num += w.num << (exp - w.exp)
+        mass = Dyadic(num, exp)
         if mass > ONE:
             raise ValueError(f"distribution mass {mass} exceeds 1")
         object.__setattr__(self, "_weights", weights)
@@ -203,6 +209,49 @@ class Distr:
 
 
 BOT = Distr()
+
+
+class Approx:
+    """A lower bound `distr` on a limit distribution, plus whether it is exact.
+
+    Mass the bound leaves out (the deficit) may still reach any key, so the
+    upper end of an interval adds it unless `exact` certifies the bound as
+    the limit itself.
+    """
+
+    __slots__ = ("distr", "exact")
+
+    def __init__(self, distr: Distr, exact: bool):
+        self.distr = distr
+        self.exact = exact
+
+    @property
+    def mass(self) -> Dyadic:
+        return self.distr.mass
+
+    @property
+    def deficit(self) -> Dyadic:
+        return self.distr.deficit
+
+    def lower(self, keys) -> Dyadic:
+        total = ZERO
+        for k in keys:
+            total = total + self.distr.weight(k)
+        return total
+
+    def upper(self, keys) -> Dyadic:
+        total = self.lower(keys)
+        return total if self.exact else total + self.deficit
+
+    @property
+    def upper_mass(self) -> Dyadic:
+        return self.upper(self.distr.support())
+
+    def upper_weight(self, key) -> Dyadic:
+        return self.upper((key,))
+
+    def __repr__(self):
+        return f"Approx({self.distr!r}, exact={self.exact}, deficit={self.deficit})"
 
 
 def point(term) -> Distr:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .prob import Dyadic, Distr, HALF, ONE, ZERO
+from .prob import Approx, Dyadic, Distr, HALF, ONE
 from .syntax import (
     App,
     BetaRedex,
@@ -21,8 +21,8 @@ from .syntax import (
     Term,
     classify,
     is_hnf,
+    size,
 )
-from .bigstep import EvalResult
 
 DEFAULT_LEAF_CAP = 1 << 16
 
@@ -107,44 +107,9 @@ def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP)
     return Distr(absorbed.items())
 
 
-def h_inf_lower(t: Term, n: int, cap: int = DEFAULT_LEAF_CAP) -> EvalResult:
-    """Certified lower bound of the limit head-convergence distribution."""
-    return EvalResult(step_n(t, n, "head", cap))
-
-
-class ConvergeResult:
-    """A lower bound that may additionally be certified exact.
-
-    `exact` is True when every live residual state was shown unable to
-    ever reach an hnf, so the materialized distribution is the limit.
-    """
-
-    __slots__ = ("distr", "exact")
-
-    def __init__(self, distr: Distr, exact: bool):
-        self.distr = distr
-        self.exact = exact
-
-    @property
-    def mass(self) -> Dyadic:
-        return self.distr.mass
-
-    @property
-    def deficit(self) -> Dyadic:
-        return ONE - self.distr.mass
-
-    @property
-    def upper_mass(self) -> Dyadic:
-        return self.distr.mass if self.exact else ONE
-
-    def upper_weight(self, term) -> Dyadic:
-        w = self.distr.weight(term)
-        return w if self.exact else w + self.deficit
-
-
 def converge(
     t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP
-) -> ConvergeResult:
+) -> Approx:
     """Run the absorbing chain and try to certify the residual as divergent.
 
     Certification explores the successor closure of the live states; if it
@@ -180,7 +145,7 @@ def converge(
                 break
             frontier = nxt
         exact = trapped
-    return ConvergeResult(Distr(absorbed.items()), exact)
+    return Approx(Distr(absorbed.items()), exact)
 
 
 def trace_tree(
@@ -216,8 +181,6 @@ def commute_witness(
     probability p, and m′ reaching M₀ in n₀ probability-1 head steps.
     Returns None in place of a witness when the bound is exhausted.
     """
-    from .syntax import size
-
     results = []
     for p, m2 in spine_step(m):
         limit = bound if bound is not None else max(size(m2), 4)

@@ -9,7 +9,7 @@ alpha-equivalence, and substitution is capture-free by construction.
 from __future__ import annotations
 
 import string
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 
 class Term:
@@ -123,11 +123,6 @@ class Choice(Term):
     __hash__ = Term.__hash__
 
 
-def alpha_eq(a: Term, b: Term) -> bool:
-    """Equality modulo bound-variable renaming (structural on nameless terms)."""
-    return a == b
-
-
 def size(t: Term) -> int:
     if isinstance(t, (Var, Free)):
         return 1
@@ -204,10 +199,10 @@ def is_closed(t: Term) -> bool:
     return not free_vars(t)
 
 
-def lam_close(t: Term) -> Term:
-    """λ-close an open term, binding free names in lexicographic order
-    (first name becomes the outermost binder)."""
-    for name in sorted(free_vars(t), reverse=True):
+def lam_close(t: Term, names: frozenset | None = None) -> Term:
+    """λ-close a term over `names` (default: its free names), binding them
+    in lexicographic order (first name becomes the outermost binder)."""
+    for name in sorted(free_vars(t) if names is None else names, reverse=True):
         t = Lam(bind_name(t, name))
     return t
 

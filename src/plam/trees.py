@@ -16,7 +16,7 @@ information and is normalized away; only the head survives.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .bigstep import eval_fuel
 from .prob import Dyadic, ONE, ZERO

@@ -1,6 +1,9 @@
+import gc
+import tracemalloc
+
 import pytest
 
-from plam.bigstep import UNKNOWN, check_derivable, eval_fuel, eval_mass
+from plam.bigstep import eval_fuel
 from plam.prob import Distr, Dyadic, ONE, ZERO, point
 from plam.syntax import App, Choice, Lam, OMEGA, parse
 
@@ -48,6 +51,32 @@ def test_duplicator_example():
         assert eval_fuel(parse("Delta (T (+) F)"), fuel).distr == expected
 
 
+def test_full_mass_bound_is_exact():
+    # a lower bound of mass 1 is the limit itself
+    res = eval_fuel(parse("Delta (T (+) F)"), 2)
+    assert res.exact and res.deficit == ZERO
+    assert not eval_fuel(parse("Delta (T (+) F)"), 1).exact
+
+
+def test_evaluation_retains_no_memory_between_calls():
+    # twenty distinct branching walks: a memo that outlives its call keeps
+    # every intermediate distribution of every one of them alive
+    walk = r"Theta (\f x.x (+) (f (a{0} x) (+) f (b{0} x))) z"
+    terms = [parse(walk.format(i)) for i in range(21)]
+    eval_fuel(terms.pop(), 10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in terms:
+            assert eval_fuel(t, 10).mass > ZERO
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
+
+
 def test_omega_diverges():
     for fuel in (0, 1, 5, 32):
         res = eval_fuel(OMEGA, fuel)
@@ -62,7 +91,7 @@ def test_self_application_mass():
     m = parse(r"\x.y (+) x x")
     mm = App(m, m)
     for n in range(0, 13):
-        assert eval_mass(mm, n) == ONE - Dyadic(1, n)
+        assert eval_fuel(mm, n).mass == ONE - Dyadic(1, n)
 
 
 def test_fuel_monotone_on_examples():
@@ -75,21 +104,6 @@ def test_fuel_monotone_on_examples():
 def test_negative_fuel_rejected():
     with pytest.raises(ValueError):
         eval_fuel(parse("I"), -1)
-
-
-def test_check_derivable_true():
-    t = parse("Delta (T (+) F)")
-    d = eval_fuel(t, 2).distr
-    assert check_derivable(t, d, 8) is True
-    # any sub-distribution is also derivable
-    assert check_derivable(t, d.scale(D("1/2")), 8) is True
-
-
-def test_check_derivable_unknown():
-    res = check_derivable(OMEGA, point(parse("I")), 16)
-    assert res is UNKNOWN
-    assert not res  # the sentinel is falsy but is not False
-    assert res is not False
 
 
 def test_hnf_fixed_point():

@@ -1,5 +1,6 @@
 import pytest
 
+from plam.bigstep import eval_fuel
 from plam.equiv import (
     Apply,
     HnfState,
@@ -14,6 +15,7 @@ from plam.equiv import (
     verify_witness,
 )
 from plam.prob import Distr, Dyadic, ONE
+from plam.smallstep import converge
 from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, parse
 
 D = Dyadic.parse
@@ -43,6 +45,20 @@ def test_tau_transition_open_interval():
     res = transitions(TermState(App(m, m)), TAU, 1, steps=2)
     assert not res.exact
     assert res.upper(()) == res.deficit
+
+
+def test_one_approx_contract_across_producers():
+    t = Choice(OMEGA, I)
+    # fuel leaves Omega's half open: its deficit may still converge
+    by_fuel = eval_fuel(t, 4)
+    assert not by_fuel.exact and by_fuel.upper_mass == ONE
+    # the step-bounded chain certifies Omega's half as divergent
+    by_steps = converge(t, 8)
+    assert by_steps.exact and by_steps.upper_mass == D("1/2")
+    by_tau = transitions(TermState(t), TAU, 4, steps=8)
+    assert by_tau.exact == by_steps.exact
+    assert (by_tau.mass, by_tau.upper_mass) == (by_steps.mass, by_steps.upper_mass)
+    assert by_tau.upper_weight(HnfState(I.body)) == by_steps.upper_weight(I) == D("1/2")
 
 
 def test_apply_transition_substitutes():

@@ -8,6 +8,7 @@ reproducible.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from plam.bigstep import eval_fuel
@@ -55,6 +56,8 @@ index_open_terms = st.builds(
 )
 
 dyadics = st.builds(Dyadic, st.integers(0, 1 << 10), st.integers(0, 10))
+# at most 1 each, so that short lists land on both sides of mass 1
+weights = st.builds(Dyadic, st.integers(0, 1 << 10), st.integers(10, 20))
 
 
 @settings(max_examples=200, **SETTINGS)
@@ -71,6 +74,18 @@ def test_dyadic_arithmetic_matches_fractions(a, b):
     assert (a <= b) == (a.as_fraction() <= b.as_fraction())
     if a >= b:
         assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), weights), max_size=8))
+def test_distr_mass_matches_fraction_sum(pairs):
+    total = sum((w.as_fraction() for _, w in pairs), Fraction(0))
+    if total > 1:
+        with pytest.raises(ValueError):
+            Distr((Free(name), w) for name, w in pairs)
+        return
+    d = Distr((Free(name), w) for name, w in pairs)
+    assert d.mass == Dyadic.from_fraction(total)
 
 
 @settings(max_examples=100, **SETTINGS)

@@ -5,7 +5,6 @@ from plam.smallstep import (
     ResourceCapExceeded,
     commute_witness,
     converge,
-    h_inf_lower,
     head_step,
     spine_step,
     step_n,
@@ -80,7 +79,7 @@ def test_h_inf_lower_matches_eval_limit():
     expected = Distr(
         [(parse(r"\y.T"), D("1/4")), (parse(r"\y.F"), D("1/4")), (parse("I"), D("1/2"))]
     )
-    assert h_inf_lower(parse("Delta (T (+) F)"), 6).distr == expected
+    assert step_n(parse("Delta (T (+) F)"), 6, "head") == expected
 
 
 def test_unknown_strategy_rejected():
