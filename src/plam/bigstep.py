@@ -26,8 +26,11 @@ def _eval(term: Term, fuel: int, memo: dict) -> Distr:
     elif isinstance(term, Lam):
         out = _eval(term.body, fuel, memo).map_support(Lam)
     elif isinstance(term, Choice):
-        left = _eval(term.left, fuel, memo)
-        out = left.scale(HALF) + _eval(term.right, fuel, memo).scale(HALF)
+        # both halves' halved pairs go into one Distr, for the same reason
+        # as in the application rule below
+        pairs = [(h, w * HALF) for h, w in _eval(term.left, fuel, memo).items()]
+        pairs.extend((h, w * HALF) for h, w in _eval(term.right, fuel, memo).items())
+        out = Distr(pairs)
     else:
         # application: evaluate the function part, then dispatch on its
         # support; collect every branch's pairs and build the result once:

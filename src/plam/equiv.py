@@ -203,15 +203,13 @@ class Lab:
         steps: Optional[int] = None,
     ):
         self.fuel = fuel
-        self.pool = tuple(pool)
+        # built once: an open pool term fails here, not mid-game
+        self.labels = (TAU,) + tuple(Apply(p) for p in pool)
         self.tree_level = tree_level
         self.steps = steps
         self._trans_memo: Dict[Tuple, Approx] = {}
         self._bisim_memo: Dict[Tuple, Optional[object]] = {}
         self._sim_memo: Dict[Tuple, Optional[object]] = {}
-
-    def labels(self):
-        return [TAU] + [Apply(p) for p in self.pool]
 
     def trans(self, state, label) -> Approx:
         key = (state, label)
@@ -243,7 +241,7 @@ class Lab:
         self._bisim_memo[key] = None  # cut cycles pessimistically
         result = self._tree_separated(u, v)
         if result is None:
-            for label in self.labels():
+            for label in self.labels:
                 result = self._bisim_label_diff(u, v, label, depth)
                 if result is not None:
                     break
@@ -294,7 +292,7 @@ class Lab:
             return self._sim_memo[key]
         self._sim_memo[key] = None
         result = None
-        for label in self.labels():
+        for label in self.labels:
             result = self._sim_label_diff(u, v, label, depth)
             if result is not None:
                 break

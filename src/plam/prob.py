@@ -186,13 +186,6 @@ class Distr:
     def map_support(self, fn: Callable) -> "Distr":
         return Distr((fn(t), w) for t, w in self._weights.items())
 
-    def restrict(self, predicate: Callable[[object], bool]) -> Dyadic:
-        total = ZERO
-        for t, w in self._weights.items():
-            if predicate(t):
-                total = total + w
-        return total
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Distr) and self._weights == other._weights
 

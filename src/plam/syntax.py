@@ -18,11 +18,11 @@ class Term:
     Every node carries `loose`, set once by its constructor: one more than
     the largest binder index that occurs free in the node, or 0 when none
     does (`Var` gives index+1, `Free` 0, `Lam` max(body.loose-1, 0), and
-    `App`/`Choice` the max of their children). A traversal that rewrites
-    the free indices at or above a cutoff (`shift`, substitution, opening
-    binders) leaves a node with `loose <= cutoff` unchanged, so it returns
-    that node itself: closed replacements such as each copy of `Theta` are
-    shared, not rebuilt.
+    `App`/`Choice` the max of their children). `reindex`, the one
+    traversal that rewrites the free indices at or above a cutoff (for
+    `shift`, substitution and opening binders), leaves a node with
+    `loose <= cutoff` unchanged, so it returns that node itself: closed
+    replacements such as each copy of `Theta` are shared, not rebuilt.
     """
 
     __slots__ = ("_hash", "loose")
@@ -123,87 +123,88 @@ class Choice(Term):
     __hash__ = Term.__hash__
 
 
-def size(t: Term) -> int:
-    if isinstance(t, (Var, Free)):
-        return 1
+def reindex(t: Term, repls: Tuple[Term, ...], by: int, cutoff: int = 0) -> Term:
+    """Rewrite the binder indices at or above `cutoff` in one pass.
+
+    Index `cutoff + i` with `i < len(repls)` becomes `repls[i]`, shifted
+    past the `cutoff` binders; every higher index moves by `by`. This is
+    the simultaneous substitution (repls · ↑by) of explicit-substitution
+    calculi, so shifting, β-contraction and binder opening all use it.
+    """
+    if t.loose <= cutoff:
+        return t
+    if isinstance(t, Var):
+        i = t.index - cutoff
+        if i < len(repls):
+            return reindex(repls[i], (), cutoff)
+        return Var(t.index + by)
     if isinstance(t, Lam):
-        return 1 + size(t.body)
+        return Lam(reindex(t.body, repls, by, cutoff + 1))
     if isinstance(t, App):
-        return 1 + size(t.fun) + size(t.arg)
-    return 1 + size(t.left) + size(t.right)
+        return App(reindex(t.fun, repls, by, cutoff), reindex(t.arg, repls, by, cutoff))
+    return Choice(reindex(t.left, repls, by, cutoff), reindex(t.right, repls, by, cutoff))
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every binder index at or above `cutoff`."""
-    if t.loose <= cutoff:
-        return t
-    if isinstance(t, Var):
-        return Var(t.index + by)
-    if isinstance(t, Lam):
-        return Lam(shift(t.body, by, cutoff + 1))
-    if isinstance(t, App):
-        return App(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
-    return Choice(shift(t.left, by, cutoff), shift(t.right, by, cutoff))
-
-
-def _subst_index(t: Term, j: int, repl: Term) -> Term:
-    if t.loose <= j:
-        return t
-    if isinstance(t, Var):
-        return shift(repl, j) if t.index == j else Var(t.index - 1)
-    if isinstance(t, Lam):
-        return Lam(_subst_index(t.body, j + 1, repl))
-    if isinstance(t, App):
-        return App(_subst_index(t.fun, j, repl), _subst_index(t.arg, j, repl))
-    return Choice(_subst_index(t.left, j, repl), _subst_index(t.right, j, repl))
+    return reindex(t, (), by, cutoff)
 
 
 def substitute(body: Term, arg: Term) -> Term:
     """Capture-free substitution of a binder's body: (λ.body) arg ↦ body[arg]."""
-    return _subst_index(body, 0, arg)
+    return reindex(body, (arg,), -1)
 
 
-def bind_name(t: Term, name: str, depth: int = 0) -> Term:
-    """Turn the free variable `name` into a reference to a new outermost binder."""
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Free):
-        return Var(depth) if t.name == name else t
-    if isinstance(t, Lam):
-        return Lam(bind_name(t.body, name, depth + 1))
-    if isinstance(t, App):
-        return App(bind_name(t.fun, name, depth), bind_name(t.arg, name, depth))
-    return Choice(bind_name(t.left, name, depth), bind_name(t.right, name, depth))
+def subterms(t: Term) -> List[Term]:
+    """Every subterm occurrence of `t`, `t` first, collected without recursion."""
+    out = [t]
+    # the loop runs over the list it extends, so it reaches every node
+    for s in out:
+        if isinstance(s, Lam):
+            out.append(s.body)
+        elif isinstance(s, App):
+            out.append(s.fun)
+            out.append(s.arg)
+        elif isinstance(s, Choice):
+            out.append(s.left)
+            out.append(s.right)
+    return out
+
+
+def size(t: Term) -> int:
+    return len(subterms(t))
 
 
 def free_vars(t: Term) -> frozenset:
-    out = set()
-
-    def walk(t: Term):
-        if isinstance(t, Free):
-            out.add(t.name)
-        elif isinstance(t, Lam):
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fun)
-            walk(t.arg)
-        elif isinstance(t, Choice):
-            walk(t.left)
-            walk(t.right)
-
-    walk(t)
-    return frozenset(out)
+    return frozenset(s.name for s in subterms(t) if isinstance(s, Free))
 
 
 def is_closed(t: Term) -> bool:
-    return not free_vars(t)
+    """No free name and no dangling binder index."""
+    return t.loose == 0 and not free_vars(t)
 
 
 def lam_close(t: Term, names: frozenset | None = None) -> Term:
     """λ-close a term over `names` (default: its free names), binding them
     in lexicographic order (first name becomes the outermost binder)."""
-    for name in sorted(free_vars(t) if names is None else names, reverse=True):
-        t = Lam(bind_name(t, name))
+    order = sorted(free_vars(t) if names is None else names)
+    # the distance of each name's binder from the top of the term
+    rank = {name: len(order) - 1 - i for i, name in enumerate(order)}
+
+    def bind(t: Term, depth: int) -> Term:
+        if isinstance(t, Free):
+            return Var(depth + rank[t.name]) if t.name in rank else t
+        if isinstance(t, Lam):
+            return Lam(bind(t.body, depth + 1))
+        if isinstance(t, App):
+            return App(bind(t.fun, depth), bind(t.arg, depth))
+        if isinstance(t, Choice):
+            return Choice(bind(t.left, depth), bind(t.right, depth))
+        return t
+
+    t = bind(t, 0)
+    for _ in order:
+        t = Lam(t)
     return t
 
 
@@ -308,9 +309,12 @@ def is_hnf(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing
 
-# Deepest nesting of binders, parentheses and choices that `parse` accepts.
-# The parser, evaluator and printer recurse once or more per level, so the
-# cap keeps every term that parses well inside Python's default stack.
+# Deepest nesting of binders, parentheses, choices and application
+# arguments that `parse` accepts; each argument of a spine counts as one
+# level, since the spine nests its function part one node deeper per
+# argument. The parser, evaluator and printer recurse once or more per
+# level, so the cap keeps every term that parses well inside Python's
+# default stack.
 MAX_NESTING = 200
 
 _LAMBDA_CHARS = ("\\", "λ")
@@ -386,11 +390,14 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_term(self, env: List[str], depth: int) -> Term:
+    def check_depth(self, depth: int) -> None:
         if depth > MAX_NESTING:
             raise ResourceCapExceeded(
                 f"input nests deeper than {MAX_NESTING} levels (at position {self.peek()[2]})"
             )
+
+    def parse_term(self, env: List[str], depth: int) -> Term:
+        self.check_depth(depth)
         if self.peek()[0] == "lambda":
             # the body extends maximally to the right, taking any choice
             self.next()
@@ -414,7 +421,10 @@ class _Parser:
 
     def parse_app(self, env: List[str], depth: int) -> Term:
         t = self.parse_atom(env, depth)
+        spine = depth
         while self.peek()[0] in ("name", "lparen"):
+            spine += 1
+            self.check_depth(spine)
             t = App(t, self.parse_atom(env, depth))
         return t
 

@@ -20,7 +20,7 @@ from typing import Tuple
 
 from .bigstep import eval_fuel
 from .prob import Dyadic, ONE, ZERO
-from .syntax import App, Choice, Free, HnfView, Lam, Term, Var, classify
+from .syntax import Free, HnfView, Term, Var, classify, reindex
 
 
 def binder_ref(depth: int, pos: int) -> str:
@@ -119,26 +119,11 @@ def eta_tree(name: str, level: int, depth: int = 0) -> ProbTree:
     return ProbTree(level, ((ValueTree(level, depth, name, 0, ()), ONE),), ZERO)
 
 
-def _open_binders(t: Term, n: int, depth: int, cutoff: int = 0) -> Term:
+def _open_binders(t: Term, n: int, depth: int) -> Term:
     """Replace references to the n stripped binders by positional names."""
-    if t.loose <= cutoff:
-        return t
-    if isinstance(t, Var):
-        rel = t.index - cutoff
-        if rel < n:
-            return Free(binder_ref(depth, n - rel))
+    if t.loose > n:
         raise ValueError("dangling binder index in tree construction")
-    if isinstance(t, Lam):
-        return Lam(_open_binders(t.body, n, depth, cutoff + 1))
-    if isinstance(t, App):
-        return App(
-            _open_binders(t.fun, n, depth, cutoff),
-            _open_binders(t.arg, n, depth, cutoff),
-        )
-    return Choice(
-        _open_binders(t.left, n, depth, cutoff),
-        _open_binders(t.right, n, depth, cutoff),
-    )
+    return reindex(t, tuple(Free(binder_ref(depth, n - rel)) for rel in range(n)), -n)
 
 
 def value_tree(h: Term, level: int, fuel: int, depth: int = 0) -> ValueTree:

@@ -236,6 +236,7 @@ DEEP_SHAPES = (
     lambda k: ["parse", "\\x." * k + "x"],
     lambda k: ["eval", "x (+) " * k + "x"],
     lambda k: ["eval", "(\\x.x) (" * k + "y" + ")" * k],
+    lambda k: ["eval", "y" + " y" * k],
 )
 
 

@@ -16,7 +16,7 @@ from plam.equiv import (
 )
 from plam.prob import Distr, Dyadic, ONE
 from plam.smallstep import converge
-from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, parse
+from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, Var, parse
 
 D = Dyadic.parse
 
@@ -77,6 +77,8 @@ def test_mismatched_labels_have_no_transitions():
 def test_apply_label_requires_closed_argument():
     with pytest.raises(ValueError):
         Apply(parse("y"))
+    with pytest.raises(ValueError):
+        Apply(Var(0))
 
 
 def test_bisim_distinguishes_separation_pair():

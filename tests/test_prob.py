@@ -97,7 +97,7 @@ def test_distr_map_and_restrict():
     d = Distr([(t, Dyadic(1, 1)), (u, Dyadic(1, 2))])
     swapped = d.map_support(lambda x: u if x == t else t)
     assert swapped.weight(u) == Dyadic(1, 1)
-    assert d.restrict(lambda x: x == t) == Dyadic(1, 1)
+    assert d.weight(t) == Dyadic(1, 1)
     assert d.mass == Dyadic(3, 2)
     assert d.deficit == Dyadic(1, 2)
 

@@ -24,10 +24,13 @@ from plam.syntax import (
     Lam,
     Var,
     classify,
+    free_vars,
     is_hnf,
+    lam_close,
     parse,
     pretty,
     shift,
+    size,
     substitute,
 )
 from plam.trees import Different, Equal, prob_tree, tree_eq
@@ -297,3 +300,66 @@ def test_closed_terms_are_shared_not_rebuilt():
     body = parse(r"\f.f (f y)").body
     out = substitute(body, THETA)
     assert out.fun is THETA and out.arg.fun is THETA
+
+
+def _ref_bind_name(t, name, depth=0):
+    if isinstance(t, Var):
+        return t
+    if isinstance(t, Free):
+        return Var(depth) if t.name == name else t
+    if isinstance(t, Lam):
+        return Lam(_ref_bind_name(t.body, name, depth + 1))
+    if isinstance(t, App):
+        return App(_ref_bind_name(t.fun, name, depth), _ref_bind_name(t.arg, name, depth))
+    return Choice(_ref_bind_name(t.left, name, depth), _ref_bind_name(t.right, name, depth))
+
+
+def _ref_lam_close(t, names):
+    # one binding pass per name, the last name innermost
+    for name in sorted(names, reverse=True):
+        t = Lam(_ref_bind_name(t, name))
+    return t
+
+
+def _ref_size(t):
+    if isinstance(t, (Var, Free)):
+        return 1
+    if isinstance(t, Lam):
+        return 1 + _ref_size(t.body)
+    if isinstance(t, App):
+        return 1 + _ref_size(t.fun) + _ref_size(t.arg)
+    return 1 + _ref_size(t.left) + _ref_size(t.right)
+
+
+def _ref_free_vars(t):
+    if isinstance(t, Var):
+        return frozenset()
+    if isinstance(t, Free):
+        return frozenset({t.name})
+    if isinstance(t, Lam):
+        return _ref_free_vars(t.body)
+    if isinstance(t, App):
+        return _ref_free_vars(t.fun) | _ref_free_vars(t.arg)
+    return _ref_free_vars(t.left) | _ref_free_vars(t.right)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(some_terms, st.frozensets(st.sampled_from(["a", "b", "y", "q"])))
+def test_lam_close_matches_one_pass_per_name(t, names):
+    assert lam_close(t) == _ref_lam_close(t, _ref_free_vars(t))
+    assert lam_close(t, names) == _ref_lam_close(t, names)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(some_terms)
+def test_size_and_free_vars_match_recursion(t):
+    assert size(t) == _ref_size(t)
+    assert free_vars(t) == _ref_free_vars(t)
+
+
+def test_long_spine_needs_no_recursion():
+    t = Free("y")
+    for _ in range(5000):
+        t = App(t, Free("y"))
+    assert size(t) == 10001
+    assert free_vars(t) == frozenset({"y"})

@@ -82,6 +82,9 @@ def test_free_vars_and_closed():
     assert free_vars(t) == frozenset({"y", "z"})
     assert not is_closed(t)
     assert is_closed(parse("Omega"))
+    # a dangling binder index is not closed either
+    assert not is_closed(Var(0))
+    assert not is_closed(Lam(Var(1)))
 
 
 def test_substitute_is_capture_free():
