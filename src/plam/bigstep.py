@@ -41,7 +41,7 @@ def _eval(term: Term, fuel: int, memo: dict) -> Distr:
             if isinstance(h, Lam):
                 if fuel > 0:
                     body = substitute(h.body, term.arg)
-                    pairs.extend(_eval(body, fuel - 1, memo).scale(w).items())
+                    pairs.extend((h2, v * w) for h2, v in _eval(body, fuel - 1, memo).items())
             else:
                 pairs.append((App(h, term.arg), w))
         out = Distr(pairs)

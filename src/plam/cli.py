@@ -488,7 +488,11 @@ def _check_caps(args) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage or help; 2 is reserved for caps
+        return 1 if exc.code else 0
     try:
         _check_caps(args)
         return args.fn(args)

@@ -419,6 +419,10 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
             return False
         if not _disjoint(left, right):
             return False
+        # the block is closed: every joint-support state outside it is
+        # separated from every block member, by a sub-witness in either order
+        outside = (du.distr.support() | dv.distr.support()) - set(witness.block)
+        keys = set(witness.sub) | {(s2, s1) for s1, s2 in witness.sub}
     else:
         if du.lower(witness.block) != witness.left[0]:
             return False
@@ -427,13 +431,12 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
             return False
         if witness.left[0] <= witness.right[1]:
             return False
-        # every dropped right-side state must be refuted against the whole block
-        for s2 in dv.distr.support():
-            if s2 in image:
-                continue
-            for s1 in witness.block:
-                if s1 != s2 and (s1, s2) not in witness.sub:
-                    return False
+        # every dropped right-side state must be refuted against the whole
+        # block; one equal to a block state never is, so it cannot be dropped
+        outside = dv.distr.support() - set(image)
+        keys = witness.sub
+    if any((s1, s2) not in keys for s1 in witness.block for s2 in outside):
+        return False
     return all(
         verify_witness(pair[0], pair[1], w, lab, bisim)
         for pair, w in witness.sub.items()

@@ -12,16 +12,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .prob import Approx, Dyadic, Distr, HALF, ONE
 from .syntax import (
-    App,
-    BetaRedex,
-    ChoiceRedex,
-    HnfView,
+    Choice,
+    HeadForm,
     Lam,
     ResourceCapExceeded,
     Term,
     classify,
     is_hnf,
     size,
+    substitute,
 )
 
 DEFAULT_LEAF_CAP = 1 << 16
@@ -29,39 +28,39 @@ DEFAULT_LEAF_CAP = 1 << 16
 StepOutcome = Tuple[Tuple[Dyadic, Term], ...]
 
 
-def _choice_outcome(plug: Callable[[Term], Term], redex: ChoiceRedex) -> StepOutcome:
+def _choice_outcome(form: HeadForm) -> StepOutcome:
+    choice, args = form.head, form.args
     # branches equal modulo alpha collapse with probability 1
-    if redex.left == redex.right:
-        return ((ONE, plug(redex.left)),)
-    return ((HALF, plug(redex.left)), (HALF, plug(redex.right)))
+    if choice.left == choice.right:
+        return ((ONE, form.plug(choice.left, args)),)
+    return ((HALF, form.plug(choice.left, args)), (HALF, form.plug(choice.right, args)))
 
 
 def head_step(t: Term) -> StepOutcome:
     """One step of head reduction; an hnf yields its self-loop."""
-    c = classify(t)
-    if isinstance(c, HnfView):
-        return ((ONE, t),)
-    ctx, redex = c
-    if isinstance(redex, BetaRedex):
-        return ((ONE, ctx.plug(redex.contract())),)
-    return _choice_outcome(ctx.plug, redex)
+    form = classify(t)
+    head, args = form.head, form.args
+    kind = type(head)
+    if kind is Lam:
+        return ((ONE, form.plug(substitute(head.body, args[0]), args[1:])),)
+    if kind is Choice:
+        return _choice_outcome(form)
+    return ((ONE, t),)
 
 
 def spine_step(t: Term) -> StepOutcome:
     """One step of head spine reduction (body-first for stacked redexes)."""
-    c = classify(t)
-    if isinstance(c, HnfView):
+    form = classify(t)
+    head, args = form.head, form.args
+    kind = type(head)
+    if kind is Choice:
+        return _choice_outcome(form)
+    if kind is not Lam:
         return ((ONE, t),)
-    ctx, redex = c
-    if isinstance(redex, ChoiceRedex):
-        return _choice_outcome(ctx.plug, redex)
-    body = redex.fun.body
+    body = head.body
     if is_hnf(body):
-        return ((ONE, ctx.plug(redex.contract())),)
-    arg = redex.arg
-    return tuple(
-        (p, ctx.plug(App(Lam(body2), arg))) for p, body2 in spine_step(body)
-    )
+        return ((ONE, form.plug(substitute(body, args[0]), args[1:])),)
+    return tuple((p, form.plug(Lam(body2), args)) for p, body2 in spine_step(body))
 
 
 _STRATEGIES = {"head": head_step, "spine": spine_step}
@@ -118,34 +117,21 @@ def converge(
     """
     step = _step_fn(strategy)
     absorbed, live = _run(t, steps, step, cap)
-    exact = not live
-    if live:
-        seen = set(live)
-        frontier = list(live)
-        trapped = True
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for _, s2 in step(s):
-                    if is_hnf(s2):
-                        trapped = False
-                        frontier = []
-                        nxt = []
-                        break
-                    if s2 not in seen:
-                        seen.add(s2)
-                        nxt.append(s2)
-                        if len(seen) > cap:
-                            trapped = False
-                            frontier = []
-                            nxt = []
-                            break
-                else:
-                    continue
-                break
-            frontier = nxt
-        exact = trapped
-    return Approx(Distr(absorbed.items()), exact)
+    lower = Distr(absorbed.items())
+    seen = set(live)
+    # breadth first, over the list it extends: a depth-first search could
+    # dive into an infinite branch before it meets a nearby hnf
+    work = list(live)
+    for s in work:
+        for _, s2 in step(s):
+            if is_hnf(s2):
+                return Approx(lower, False)
+            if s2 not in seen:
+                seen.add(s2)
+                if len(seen) > cap:
+                    return Approx(lower, False)
+                work.append(s2)
+    return Approx(lower, True)
 
 
 def trace_tree(

@@ -9,7 +9,7 @@ alpha-equivalence, and substitution is capture-free by construction.
 from __future__ import annotations
 
 import string
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 
 class Term:
@@ -212,10 +212,14 @@ def lam_close(t: Term, names: frozenset | None = None) -> Term:
 # Head-form analysis
 
 
-class HnfView:
-    """Decomposition λx₁…xₙ.y M₁…Mₘ of a head normal form.
+class HeadForm:
+    """The head decomposition λx₁…xₙ.h M₁…Mₘ that every term has.
 
-    `head` is the raw Var/Free node as seen under the n stripped binders.
+    `binders` is n, `head` is h as seen under the n stripped binders and
+    `args` is M₁…Mₘ. The head decides the term's kind: a `Var` or `Free`
+    head makes an hnf, a `Choice` head a choice redex, and a `Lam` head a
+    β-redex with `args[0]` its argument (then `args` is non-empty, since
+    binder stripping was maximal).
     """
 
     __slots__ = ("binders", "head", "args")
@@ -225,96 +229,48 @@ class HnfView:
         self.head = head
         self.args = args
 
-    @property
-    def neutral(self) -> bool:
-        return self.binders == 0
-
-    def assemble(self) -> Term:
-        t = self.head
-        for a in self.args:
-            t = App(t, a)
+    def plug(self, h: Term, args: Tuple[Term, ...]) -> Term:
+        """λx₁…xₙ.h args, under this form's n binders."""
+        for a in args:
+            h = App(h, a)
         for _ in range(self.binders):
-            t = Lam(t)
-        return t
+            h = Lam(h)
+        return h
 
 
-class HeadContext:
-    """The one-hole context λx₁…xₙ.[·] L₁…Lₘ."""
-
-    __slots__ = ("binders", "spine_args")
-
-    def __init__(self, binders: int, spine_args: Tuple[Term, ...]):
-        self.binders = binders
-        self.spine_args = spine_args
-
-    def plug(self, t: Term) -> Term:
-        for a in self.spine_args:
-            t = App(t, a)
-        for _ in range(self.binders):
-            t = Lam(t)
-        return t
-
-
-class BetaRedex:
-    __slots__ = ("fun", "arg")
-
-    def __init__(self, fun: Lam, arg: Term):
-        self.fun = fun
-        self.arg = arg
-
-    def contract(self) -> Term:
-        return substitute(self.fun.body, self.arg)
-
-
-class ChoiceRedex:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        self.left = left
-        self.right = right
-
-
-Redex = Union[BetaRedex, ChoiceRedex]
-
-
-def classify(t: Term) -> Union[HnfView, Tuple[HeadContext, Redex]]:
-    """Total, exclusive decomposition of a term.
-
-    Returns an HnfView when the term is a head normal form, otherwise the
-    unique (HeadContext, redex) pair with the redex in head position.
-    """
+def classify(t: Term) -> HeadForm:
+    """The head form λx₁…xₙ.h M₁…Mₘ of `t`; `plug(head, args)` rebuilds `t`."""
     binders = 0
-    body = t
-    while isinstance(body, Lam):
+    while isinstance(t, Lam):
         binders += 1
-        body = body.body
+        t = t.body
     rev_args: List[Term] = []
-    head = body
-    while isinstance(head, App):
-        rev_args.append(head.arg)
-        head = head.fun
-    args = tuple(reversed(rev_args))
-    if isinstance(head, (Var, Free)):
-        return HnfView(binders, head, args)
-    if isinstance(head, Choice):
-        return HeadContext(binders, args), ChoiceRedex(head.left, head.right)
-    # head is a Lam, so args is non-empty (binder stripping was maximal)
-    return HeadContext(binders, args[1:]), BetaRedex(head, args[0])
+    while isinstance(t, App):
+        rev_args.append(t.arg)
+        t = t.fun
+    rev_args.reverse()
+    return HeadForm(binders, t, tuple(rev_args))
 
 
 def is_hnf(t: Term) -> bool:
-    return isinstance(classify(t), HnfView)
+    """Whether the head of `t` is a variable; builds nothing."""
+    while isinstance(t, Lam):
+        t = t.body
+    while isinstance(t, App):
+        t = t.fun
+    return isinstance(t, (Var, Free))
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-# Deepest nesting of binders, parentheses, choices and application
-# arguments that `parse` accepts; each argument of a spine counts as one
-# level, since the spine nests its function part one node deeper per
-# argument. The parser, evaluator and printer recurse once or more per
-# level, so the cap keeps every term that parses well inside Python's
-# default stack.
+# Greatest height, in Lam, App and Choice nodes on one path from the
+# root, of a term that `parse` returns, and the deepest nesting of
+# binders, parentheses and choices that the parser recurses through while
+# it reads. A long application spine costs the parser no recursion, but
+# it is one level higher per argument. The evaluator and printer recurse
+# once or more per level, so the cap keeps every term that parses well
+# inside Python's default stack.
 MAX_NESTING = 200
 
 _LAMBDA_CHARS = ("\\", "λ")
@@ -421,10 +377,7 @@ class _Parser:
 
     def parse_app(self, env: List[str], depth: int) -> Term:
         t = self.parse_atom(env, depth)
-        spine = depth
         while self.peek()[0] in ("name", "lparen"):
-            spine += 1
-            self.check_depth(spine)
             t = App(t, self.parse_atom(env, depth))
         return t
 
@@ -443,19 +396,41 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
+def _check_height(t: Term) -> None:
+    """Refuse a term higher than MAX_NESTING, one level at a time."""
+    level = [t]
+    for _ in range(MAX_NESTING + 1):
+        below = []
+        for s in level:
+            if isinstance(s, Lam):
+                below.append(s.body)
+            elif isinstance(s, App):
+                below.append(s.fun)
+                below.append(s.arg)
+            elif isinstance(s, Choice):
+                below.append(s.left)
+                below.append(s.right)
+        if not below:
+            return
+        level = below
+    raise ResourceCapExceeded(f"term nests deeper than {MAX_NESTING} levels")
+
+
 def parse(text: str, constants=None) -> Term:
     """Parse surface syntax into a nameless Term.
 
     Choice binds loosest and associates right; application is left
     associative; λ-bodies extend maximally to the right. Unbound names are
     free variables unless they match a named constant. Input nested deeper
-    than MAX_NESTING raises ResourceCapExceeded.
+    than MAX_NESTING, or a term higher than it, raises
+    ResourceCapExceeded.
     """
     if constants is None:
         constants = CONSTANTS
     parser = _Parser(text, constants)
     t = parser.parse_term([], 0)
     parser.expect("eof")
+    _check_height(t)
     return t
 
 

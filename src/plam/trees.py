@@ -20,7 +20,7 @@ from typing import Tuple
 
 from .bigstep import eval_fuel
 from .prob import Dyadic, ONE, ZERO
-from .syntax import Free, HnfView, Term, Var, classify, reindex
+from .syntax import Free, Term, Var, classify, reindex
 
 
 def binder_ref(depth: int, pos: int) -> str:
@@ -131,7 +131,7 @@ def value_tree(h: Term, level: int, fuel: int, depth: int = 0) -> ValueTree:
     if level < 1:
         raise ValueError("value trees exist at level >= 1 only")
     view = classify(h)
-    if not isinstance(view, HnfView):
+    if not isinstance(view.head, (Var, Free)):
         raise ValueError("value_tree requires a head normal form")
     n = view.binders
     head = view.head

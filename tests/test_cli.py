@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plam.cli import main
 from plam.syntax import MAX_NESTING
@@ -253,9 +256,62 @@ def test_deep_input_hits_nesting_cap(capsys, shape):
 
 
 def test_deep_intermediate_term_exits_with_cap_code(capsys):
-    # a long application spine is not nested syntax, but evaluating it
-    # recurses once per argument
-    code, out, err = run(capsys, "eval", "y" + " y" * 3000)
+    # a 3000-argument spine is refused by the parser; the Church tower
+    # parses, but evaluating it builds a term deeper than the stack allows
+    tower = " ".join([r"(\f x.f (f x))"] * 5)
+    for argv in (["eval", "y" + " y" * 3000], ["eval", tower + " y z", "--fuel", "64"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_nested_spines_hit_nesting_cap(capsys):
+    # twenty spines of 150 arguments, each the first argument of the next:
+    # every spine and the parentheses stay under the cap, the height not
+    term = "f (" * 20 + "x" + (")" + " y" * 149) * 20
+    code, out, err = run(capsys, "parse", term)
     assert code == 2
     assert out == ""
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert f"nests deeper than {MAX_NESTING} levels" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["frobnicate", "x"],
+        ["eval"],
+        ["eval", "x", "--fuel", "abc"],
+        ["parse", "x", "--format", "xml"],
+    ),
+)
+def test_usage_errors_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert "usage" in out
+
+
+# raw text mostly fails to tokenize, so half the cases are built from tokens
+TOKEN_TEXT = st.lists(
+    st.sampled_from(["x", "y", "I", "Omega", "Delta", "\\x.", "λy.", "(", ")", "(+)", "⊕", " "]),
+    max_size=20,
+).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.text(max_size=40), TOKEN_TEXT))
+def test_any_text_keeps_the_exit_code_contract(text):
+    for argv in (["parse", text], ["eval", text, "--fuel", "2"]):
+        # capsys spans the whole test, so each example captures its own output
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

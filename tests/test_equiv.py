@@ -14,7 +14,7 @@ from plam.equiv import (
     transitions,
     verify_witness,
 )
-from plam.prob import Distr, Dyadic, ONE
+from plam.prob import Distr, Dyadic, ONE, ZERO
 from plam.smallstep import converge
 from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, Var, parse
 
@@ -149,6 +149,27 @@ def test_tampered_sim_witness_rejected():
     bad = Witness(w.label, w.block, w.left, w.right, {}, image=w.image)
     if w.sub:
         assert not verify_witness(TermState(M48), TermState(N48), bad, lab, bisim=False)
+
+
+def test_bisim_witness_without_sub_witnesses_rejected():
+    w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
+    lab = Lab(fuel=6, pool=(OMEGA, I))
+    assert w.sub
+    bad = Witness(w.label, w.block, w.left, w.right, {})
+    assert not verify_witness(TermState(M24), TermState(N24), bad, lab, bisim=True)
+
+
+def test_forged_bisim_witness_with_open_block_rejected():
+    # the two hnfs are bisimilar, so no sub-witness can separate them; a
+    # block holding one of them is not closed, though its intervals replay
+    u, v = parse(r"\x.x (I I)"), parse(r"\x.x I")
+    forged = Witness(TAU, (HnfState(u.body),), (ONE, ONE), (ZERO, ZERO), {})
+    assert not verify_witness(TermState(u), TermState(v), forged, Lab(fuel=6), bisim=True)
+
+
+def test_forged_sim_witness_dropping_the_block_itself_rejected():
+    forged = Witness(TAU, (HnfState(Var(0)),), (ONE, ONE), (ZERO, ZERO), {}, image=())
+    assert not verify_witness(TermState(I), TermState(I), forged, Lab(fuel=6), bisim=False)
 
 
 def test_witness_principal_trace():

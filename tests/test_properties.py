@@ -20,7 +20,6 @@ from plam.syntax import (
     App,
     Choice,
     Free,
-    HnfView,
     Lam,
     Var,
     classify,
@@ -117,17 +116,12 @@ def test_step_outcomes_are_stochastic(t):
 @settings(max_examples=200, **SETTINGS)
 @given(any_terms)
 def test_classify_is_total_and_reassembles(t):
-    view = classify(t)
-    if isinstance(view, HnfView):
-        assert is_hnf(t)
-        assert view.assemble() == t
-    else:
-        ctx, redex = view
-        assert not is_hnf(t)
-        if hasattr(redex, "contract"):
-            assert ctx.plug(App(redex.fun, redex.arg)) == t
-        else:
-            assert ctx.plug(Choice(redex.left, redex.right)) == t
+    form = classify(t)
+    assert isinstance(form.head, (Var, Free, Choice, Lam))
+    assert form.plug(form.head, form.args) == t
+    assert is_hnf(t) == isinstance(form.head, (Var, Free))
+    if isinstance(form.head, Lam):
+        assert form.args
 
 
 @settings(max_examples=150, **SETTINGS)

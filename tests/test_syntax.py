@@ -2,12 +2,9 @@ import pytest
 
 from plam.syntax import (
     App,
-    BetaRedex,
     Choice,
-    ChoiceRedex,
     CONSTANTS,
     Free,
-    HnfView,
     Lam,
     ParseError,
     Var,
@@ -90,10 +87,9 @@ def test_free_vars_and_closed():
 def test_substitute_is_capture_free():
     # ((\x y.x) y) contracts to \z.y, never \y.y
     t = parse(r"(\x y.x) y")
-    view = classify(t)
-    ctx, redex = view
-    assert isinstance(redex, BetaRedex)
-    assert ctx.plug(redex.contract()) == Lam(Free("y"))
+    form = classify(t)
+    assert isinstance(form.head, Lam)
+    assert form.plug(substitute(form.head.body, form.args[0]), form.args[1:]) == Lam(Free("y"))
 
 
 def test_substitute_adjusts_indices():
@@ -112,32 +108,32 @@ def test_lam_close_order():
 
 def test_classify_hnf_view():
     v = classify(parse(r"\x y.x a b"))
-    assert isinstance(v, HnfView)
-    assert v.binders == 2 and not v.neutral
+    assert v.binders == 2
     assert v.head == Var(1)
     assert v.args == (Free("a"), Free("b"))
-    assert v.assemble() == parse(r"\x y.x a b")
+    assert v.plug(v.head, v.args) == parse(r"\x y.x a b")
 
 
 def test_classify_neutral():
     v = classify(parse("y a"))
-    assert isinstance(v, HnfView) and v.neutral
+    assert v.binders == 0 and v.head == Free("y") and v.args == (Free("a"),)
 
 
 def test_classify_beta_redex():
     t = parse(r"\x.(\y.y) a b")
-    ctx, redex = classify(t)
-    assert isinstance(redex, BetaRedex)
-    assert ctx.binders == 1 and ctx.spine_args == (Free("b"),)
-    assert ctx.plug(App(redex.fun, redex.arg)) == t
+    form = classify(t)
+    assert isinstance(form.head, Lam)
+    assert form.binders == 1 and form.args == (Free("a"), Free("b"))
+    assert form.plug(form.head, form.args) == t
 
 
 def test_classify_choice_redex():
     t = parse(r"\x.(a (+) b) c")
-    ctx, redex = classify(t)
-    assert isinstance(redex, ChoiceRedex)
-    assert redex.left == Free("a") and redex.right == Free("b")
-    assert ctx.plug(Choice(redex.left, redex.right)) == t
+    form = classify(t)
+    assert isinstance(form.head, Choice)
+    assert form.head.left == Free("a") and form.head.right == Free("b")
+    assert form.binders == 1 and form.args == (Free("c"),)
+    assert form.plug(form.head, form.args) == t
 
 
 def test_is_hnf():
