@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success (any verdict counts as success), 1 on usage or
 parse errors, 2 when a resource cap is exceeded.
+
+Each subcommand returns its exit code, its answer as a JSON payload, and
+a renderer of that payload as text lines; `main` prints one of the two.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .assign import AssignmentProblem, Infeasible, assignment_solve
 from .bigstep import eval_fuel
@@ -30,15 +33,19 @@ from .syntax import (
     pretty,
     size,
 )
-from .trees import Different, Equal, ProbTree, ValueTree, prob_tree, tree_eq
+from .trees import Different, Equal, ProbTree, prob_tree, tree_eq
 
 MAX_FUEL = 64
 MAX_STEPS = 512
 MAX_LEVEL = 8
 MAX_DEPTH = 16
+MAX_SEQUENCES = 1000  # argument sequences of one `appcmp` call
 
 _DEPTH_LETTERS = ["x", "z", "w", "v", "u"]
 DEFAULT_POOL = ",".join(DEFAULT_POOL_NAMES)
+
+# exit code, JSON payload, and the text renderer of that payload
+Answer = Tuple[int, dict, Callable[[dict], List[str]]]
 
 
 class UsageError(Exception):
@@ -64,11 +71,10 @@ def _distr_json(d: Distr) -> dict:
     }
 
 
-def _distr_text(d: Distr) -> str:
-    if not d:
+def _distr_text(d: dict) -> str:
+    if not d["support"]:
         return "  (bottom: empty distribution)"
-    entries = sorted(((pretty(t), w) for t, w in d.items()), key=lambda kv: kv[0])
-    return "\n".join(f"  {w}\t{t}" for t, w in entries)
+    return "\n".join(f"  {e['prob']}\t{e['term']}" for e in d["support"])
 
 
 def _head_text(head: str) -> str:
@@ -79,36 +85,37 @@ def _head_text(head: str) -> str:
     return head
 
 
-def _vt_json(vt: ValueTree) -> dict:
-    return {
-        "binders": vt.binders,
-        "head": _head_text(vt.head),
-        "offset": vt.offset,
-        "args": [_pt_json(a) for a in vt.args],
-    }
-
-
 def _pt_json(pt: ProbTree) -> dict:
     return {
         "level": pt.level,
         "deficit": str(pt.deficit),
         "support": [
-            {"weight": str(w), "tree": _vt_json(vt)} for vt, w in pt.entries
+            {
+                "weight": str(w),
+                "tree": {
+                    "binders": vt.binders,
+                    "head": _head_text(vt.head),
+                    "offset": vt.offset,
+                    "args": [_pt_json(a) for a in vt.args],
+                },
+            }
+            for vt, w in pt.entries
         ],
     }
 
 
-def _pt_text(pt: ProbTree, indent: int = 0) -> List[str]:
+def _pt_text(pt: dict, indent: int = 0) -> List[str]:
     pad = "  " * indent
-    lines = [f"{pad}level {pt.level} tree, deficit {pt.deficit}"]
-    if not pt.entries:
+    lines = [f"{pad}level {pt['level']} tree, deficit {pt['deficit']}"]
+    if not pt["support"]:
         lines.append(f"{pad}  bottom")
-    for vt, w in pt.entries:
+    for e in pt["support"]:
+        vt = e["tree"]
         lines.append(
-            f"{pad}  {w} -> λ({vt.binders}+)...{_head_text(vt.head)}"
-            f" [offset {vt.offset}]"
+            f"{pad}  {e['weight']} -> λ({vt['binders']}+)...{vt['head']}"
+            f" [offset {vt['offset']}]"
         )
-        for a in vt.args:
+        for a in vt["args"]:
             lines.extend(_pt_text(a, indent + 2))
     return lines
 
@@ -121,17 +128,17 @@ def _trace_json(node: dict) -> dict:
     }
 
 
-def _trace_text(node: dict, indent: int = 0) -> List[str]:
+def _trace_text(node: dict, shown: dict, indent: int = 0) -> List[str]:
+    """Text of the trace payload `shown`; the trace `node` it was built
+    from supplies the hnf marks, which the payload lacks."""
     mark = "*" if is_hnf(node["term"]) else ""
-    lines = [f"{'  ' * indent}[{node['prob']}] {pretty(node['term'])}{mark}"]
-    for c in node["children"]:
-        lines.extend(_trace_text(c, indent + 1))
+    lines = [f"{'  ' * indent}[{shown['prob']}] {shown['term']}{mark}"]
+    for c, c_shown in zip(node["children"], shown["children"]):
+        lines.extend(_trace_text(c, c_shown, indent + 1))
     return lines
 
 
 def _witness_json(w) -> dict:
-    if w is None:
-        return None
     if isinstance(w, TreeWitness):
         return {
             "kind": "tree",
@@ -153,33 +160,31 @@ def _witness_json(w) -> dict:
     }
 
 
-def _witness_text(w, indent: int = 0) -> List[str]:
+def _witness_text(w: dict, indent: int = 0) -> List[str]:
     pad = "  " * indent
-    if isinstance(w, TreeWitness):
-        return [f"{pad}tree difference at level {w.level}: {w.detail!r}"]
+    if w["kind"] == "tree":
+        return [
+            f"{pad}tree difference at level {w['level']}: Different(path={w['path']},"
+            f" left={w['left']}, right={w['right']})"
+        ]
+    (l_lo, l_hi), (r_lo, r_hi) = w["left"], w["right"]
     lines = [
-        f"{pad}move {w.label!r} separates: left mass in [{w.left[0]}, {w.left[1]}],"
-        f" right mass in [{w.right[0]}, {w.right[1]}]",
-        f"{pad}block: " + ", ".join(repr(s) for s in w.block),
+        f"{pad}move {w['label']} separates: left mass in [{l_lo}, {l_hi}],"
+        f" right mass in [{r_lo}, {r_hi}]",
+        f"{pad}block: " + ", ".join(w["block"]),
     ]
-    for (a, b), sub in w.sub.items():
-        lines.append(f"{pad}because {a!r} vs {b!r}:")
-        lines.extend(_witness_text(sub, indent + 1))
+    for sub in w["sub"]:
+        a, b = sub["pair"]
+        lines.append(f"{pad}because {a} vs {b}:")
+        lines.extend(_witness_text(sub["witness"], indent + 1))
     return lines
-
-
-def _emit(args, payload: dict, text_lines: List[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> Answer:
     t = _parse_term(args.term)
     payload = {
         "term": pretty(t),
@@ -187,91 +192,99 @@ def cmd_parse(args) -> int:
         "free": sorted(free_vars(t)),
         "hnf": is_hnf(t),
     }
-    _emit(args, payload, [pretty(t)])
-    return 0
+    return 0, payload, lambda p: [p["term"]]
 
 
-def cmd_eval(args) -> int:
-    t = _parse_term(args.term)
-    res = eval_fuel(t, args.fuel)
+def cmd_eval(args) -> Answer:
+    res = eval_fuel(_parse_term(args.term), args.fuel)
     payload = _distr_json(res.distr)
     payload["deficit"] = str(res.deficit)
-    text = [f"eval at fuel {args.fuel}: mass {res.mass}, deficit {res.deficit}"]
-    text.append(_distr_text(res.distr))
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, lambda p: [
+        f"eval at fuel {args.fuel}: mass {p['mass']}, deficit {p['deficit']}",
+        _distr_text(p),
+    ]
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> Answer:
     t = _parse_term(args.term)
     tree = trace_tree(t, args.steps, args.strategy, cap=args.cap)
     table = step_n(t, args.steps, args.strategy, cap=args.cap)
     payload = {"tree": _trace_json(tree), "cumulative": _distr_json(table)}
-    text = _trace_text(tree)
-    text.append(f"cumulative after {args.steps} steps (mass {table.mass}):")
-    text.append(_distr_text(table))
-    _emit(args, payload, text)
-    return 0
+
+    def text(p: dict) -> List[str]:
+        cumulative = p["cumulative"]
+        return _trace_text(tree, p["tree"]) + [
+            f"cumulative after {args.steps} steps (mass {cumulative['mass']}):",
+            _distr_text(cumulative),
+        ]
+
+    return 0, payload, text
 
 
-def cmd_tree(args) -> int:
-    t = _parse_term(args.term)
-    pt = prob_tree(t, args.level, args.fuel)
-    _emit(args, _pt_json(pt), _pt_text(pt))
-    return 0
+def cmd_tree(args) -> Answer:
+    return 0, _pt_json(prob_tree(_parse_term(args.term), args.level, args.fuel)), _pt_text
 
 
-def cmd_compare_tree(args) -> int:
+_VERDICT_TEXT = {
+    "equal": "equal",
+    "different": "different at path {path}: {left} vs {right}",
+    "unknown": "unknown (deficit bound {bound})",
+}
+
+
+def cmd_compare_tree(args) -> Answer:
     a = prob_tree(_parse_term(args.term1), args.level, args.fuel)
     b = prob_tree(_parse_term(args.term2), args.level, args.fuel)
     verdict = tree_eq(a, b)
     if isinstance(verdict, Equal):
         payload = {"verdict": "equal"}
-        text = ["equal"]
     elif isinstance(verdict, Different):
-        payload = {
-            "verdict": "different",
-            "path": list(verdict.path),
-            "left": str(verdict.left),
-            "right": str(verdict.right),
-        }
-        text = [f"different at path {list(verdict.path)}: "
-                f"{verdict.left} vs {verdict.right}"]
+        payload = {"verdict": "different", "path": list(verdict.path),
+                   "left": str(verdict.left), "right": str(verdict.right)}
     else:
         payload = {"verdict": "unknown", "bound": str(verdict.bound)}
-        text = [f"unknown (deficit bound {verdict.bound})"]
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, lambda p: [_VERDICT_TEXT[p["verdict"]].format_map(p)]
 
 
-def _cmd_game(args, refute) -> int:
+def _game_text(p: dict) -> List[str]:
+    if p["trace"] is None:
+        return ["inconclusive (no certified difference at these bounds)"]
+    return ["distinguished:"] + _witness_text(p["trace"])
+
+
+def cmd_game(args) -> Answer:
     m, n = _parse_term(args.term1), _parse_term(args.term2)
-    pool = _parse_pool(args.pool)
-    kwargs = dict(depth=args.depth, fuel=args.fuel, pool=pool)
-    if refute is refute_bisim:
-        kwargs["tree_level"] = args.tree_level
-    w = refute(m, n, **kwargs)
-    if w is None:
-        payload = {"verdict": "inconclusive", "trace": None}
-        text = ["inconclusive (no certified difference at these bounds)"]
+    kwargs = dict(depth=args.depth, fuel=args.fuel, pool=_parse_pool(args.pool))
+    if args.command == "bisim":
+        w = refute_bisim(m, n, tree_level=args.tree_level, **kwargs)
     else:
-        payload = {"verdict": "distinguished", "trace": _witness_json(w)}
-        text = ["distinguished:"] + _witness_text(w)
-    _emit(args, payload, text)
-    return 0
+        w = refute_sim(m, n, **kwargs)
+    if w is None:
+        return 0, {"verdict": "inconclusive", "trace": None}, _game_text
+    return 0, {"verdict": "distinguished", "trace": _witness_json(w)}, _game_text
 
 
-def cmd_bisim(args) -> int:
-    return _cmd_game(args, refute_bisim)
+def _appcmp_text(p: dict) -> List[str]:
+    lines = []
+    for r in p["sequences"]:
+        left, right = r["left"], r["right"]
+        lines.append(
+            f"{' '.join(r['args']) or '(empty)'}:"
+            f" left {left['mass']}{'' if left['exact'] else '+?'}"
+            f" right {right['mass']}{'' if right['exact'] else '+?'} -> {r['verdict']}"
+        )
+    return lines
 
 
-def cmd_sim(args) -> int:
-    return _cmd_game(args, refute_sim)
-
-
-def cmd_appcmp(args) -> int:
+def cmd_appcmp(args) -> Answer:
     m, n = _parse_term(args.term1), _parse_term(args.term2)
     pool = _parse_pool(args.pool)
+    count = sum(len(pool) ** k for k in range(args.maxlen + 1))
+    if count > MAX_SEQUENCES:  # refused before a single sequence is built
+        raise ResourceCapExceeded(
+            f"--maxlen {args.maxlen} over {len(pool)} pool terms gives {count}"
+            f" argument sequences, above the cap {MAX_SEQUENCES}"
+        )
     seqs = [()]
     frontier = [()]
     for _ in range(args.maxlen):
@@ -289,15 +302,7 @@ def cmd_appcmp(args) -> int:
             for r in reports
         ]
     }
-    text = []
-    for r in reports:
-        argtext = " ".join(pretty(a) for a in r.args) or "(empty)"
-        text.append(
-            f"{argtext}: left {r.left.mass}{'' if r.left.exact else '+?'}"
-            f" right {r.right.mass}{'' if r.right.exact else '+?'} -> {r.verdict}"
-        )
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, _appcmp_text
 
 
 def _parse_subset(key: str) -> frozenset:
@@ -305,7 +310,15 @@ def _parse_subset(key: str) -> frozenset:
     return frozenset(int(p) for p in inner.split(",") if p.strip())
 
 
-def cmd_assign(args) -> int:
+def _assign_text(p: dict) -> List[str]:
+    if not p["feasible"]:
+        return [f"infeasible, witness subset {p['witness']}"]
+    return ["feasible"] + [
+        f"  s[{e['item']}, {set(e['subset'])}] = {e['share']}" for e in p["shares"]
+    ]
+
+
+def cmd_assign(args) -> Answer:
     with open(args.problem, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     p = [Fraction(x) for x in data.get("p", [])]
@@ -314,7 +327,6 @@ def cmd_assign(args) -> int:
     result = assignment_solve(problem)
     if isinstance(result, Infeasible):
         payload = {"feasible": False, "witness": sorted(result.witness)}
-        text = [f"infeasible, witness subset {sorted(result.witness)}"]
     else:
         shares = [
             {"item": k, "subset": sorted(subset), "share": str(s)}
@@ -323,33 +335,38 @@ def cmd_assign(args) -> int:
             )
         ]
         payload = {"feasible": True, "shares": shares}
-        text = ["feasible"] + [
-            f"  s[{e['item']}, {set(e['subset'])}] = {e['share']}" for e in shares
-        ]
-    _emit(args, payload, text)
-    return 0
+    return 0, payload, _assign_text
 
 
-def cmd_fixtures(args) -> int:
+def _fixtures_text(p: dict) -> List[str]:
+    lines = [
+        f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}" + ("" if r["ok"] else f": {r['detail']}")
+        for r in p["results"]
+    ]
+    lines.append(f"{p['passed']} passed, {p['failed']} failed")
+    return lines
+
+
+def cmd_fixtures(args) -> Answer:
     results = run_fixtures()
-    failed = [name for name, ok, _ in results if not ok]
+    failed = sum(not ok for _, ok, _ in results)
     payload = {
         "results": [
             {"name": name, "ok": ok, "detail": detail} for name, ok, detail in results
         ],
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
+        "passed": len(results) - failed,
+        "failed": failed,
     }
-    text = [
-        f"{'PASS' if ok else 'FAIL'} {name}" + ("" if ok else f": {detail}")
-        for name, ok, detail in results
-    ]
-    text.append(f"{payload['passed']} passed, {payload['failed']} failed")
-    _emit(args, payload, text)
-    return 0 if not failed else 1
+    return (1 if failed else 0), payload, _fixtures_text
 
 
-def cmd_proptest(args) -> int:
+def _proptest_text(p: dict) -> List[str]:
+    lines = [f"ran {p['cases']} cases, {len(p['failures'])} failures"]
+    lines.extend(f"  FAIL {f['property']}: {f['term']}" for f in p["failures"])
+    return lines
+
+
+def cmd_proptest(args) -> Answer:
     rng = random.Random(args.seed)
     corpus = closed_corpus(args.seed, args.cases, max_size=10)
     failures = []
@@ -371,13 +388,43 @@ def cmd_proptest(args) -> int:
         "cases": len(corpus),
         "failures": [{"property": p, "term": pretty(t)} for p, t in failures],
     }
-    text = [f"ran {len(corpus)} cases, {len(failures)} failures"]
-    text.extend(f"  FAIL {p}: {pretty(t)}" for p, t in failures)
-    _emit(args, payload, text)
-    return 0 if not failures else 1
+    return (1 if failures else 0), payload, _proptest_text
 
 
 # ---------------------------------------------------------------------------
+
+
+def _int(flag: str, default: int) -> tuple:
+    return flag, dict(type=int, default=default)
+
+
+_PAIR = ("term1", "term2")
+_POOL = ("--pool", dict(default=DEFAULT_POOL))
+# name, handler, help, positional terms, options before --format
+_COMMANDS = (
+    ("parse", cmd_parse, "parse and pretty-print a term", ("term",), ()),
+    ("eval", cmd_eval, "fuel-bounded big-step evaluation", ("term",), (_int("--fuel", 16),)),
+    ("trace", cmd_trace, "small-step reduction tree and table", ("term",), (
+        ("--strategy", dict(choices=("head", "spine"), default="head")),
+        _int("--steps", 8),
+        _int("--cap", 1 << 16),
+    )),
+    ("tree", cmd_tree, "level-indexed probabilistic tree", ("term",),
+     (_int("--level", 2), _int("--fuel", 16))),
+    ("compare-tree", cmd_compare_tree, "three-valued tree equality", _PAIR,
+     (_int("--level", 2), _int("--fuel", 16))),
+    ("bisim", cmd_game, "refute probabilistic bisimilarity", _PAIR,
+     (_int("--depth", 8), _int("--fuel", 8), _POOL, _int("--tree-level", 0))),
+    ("sim", cmd_game, "refute probabilistic similarity", _PAIR,
+     (_int("--depth", 6), _int("--fuel", 8), _POOL)),
+    ("appcmp", cmd_appcmp, "applicative-context mass comparison", _PAIR,
+     (_int("--fuel", 8), _int("--maxlen", 2), _POOL)),
+    ("assign", cmd_assign, "solve a probabilistic assignment problem", (),
+     (("--problem", dict(required=True)),)),
+    ("fixtures", cmd_fixtures, "replay all worked-example fixtures", (), ()),
+    ("proptest", cmd_proptest, "randomized property checks", (),
+     (_int("--seed", 0), _int("--cases", 200))),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,87 +434,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "probabilistic λ-calculus under head-style reduction.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, fn, help_text, terms, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for term in terms:
+            p.add_argument(term)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("parse", help="parse and pretty-print a term")
-    p.add_argument("term")
-    common(p)
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("eval", help="fuel-bounded big-step evaluation")
-    p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=16)
-    common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("trace", help="small-step reduction tree and table")
-    p.add_argument("term")
-    p.add_argument("--strategy", choices=("head", "spine"), default="head")
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--cap", type=int, default=1 << 16)
-    common(p)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("tree", help="level-indexed probabilistic tree")
-    p.add_argument("term")
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--fuel", type=int, default=16)
-    common(p)
-    p.set_defaults(fn=cmd_tree)
-
-    p = sub.add_parser("compare-tree", help="three-valued tree equality")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--fuel", type=int, default=16)
-    common(p)
-    p.set_defaults(fn=cmd_compare_tree)
-
-    p = sub.add_parser("bisim", help="refute probabilistic bisimilarity")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--fuel", type=int, default=8)
-    p.add_argument("--pool", default=DEFAULT_POOL)
-    p.add_argument("--tree-level", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_bisim)
-
-    p = sub.add_parser("sim", help="refute probabilistic similarity")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--fuel", type=int, default=8)
-    p.add_argument("--pool", default=DEFAULT_POOL)
-    common(p)
-    p.set_defaults(fn=cmd_sim)
-
-    p = sub.add_parser("appcmp", help="applicative-context mass comparison")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.add_argument("--fuel", type=int, default=8)
-    p.add_argument("--maxlen", type=int, default=2)
-    p.add_argument("--pool", default=DEFAULT_POOL)
-    common(p)
-    p.set_defaults(fn=cmd_appcmp)
-
-    p = sub.add_parser("assign", help="solve a probabilistic assignment problem")
-    p.add_argument("--problem", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_assign)
-
-    p = sub.add_parser("fixtures", help="replay all worked-example fixtures")
-    common(p)
-    p.set_defaults(fn=cmd_fixtures)
-
-    p = sub.add_parser("proptest", help="randomized property checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
-    common(p)
-    p.set_defaults(fn=cmd_proptest)
-
+        p.set_defaults(fn=fn)
     return top
 
 
@@ -477,13 +451,16 @@ def _check_caps(args) -> None:
         ("steps", MAX_STEPS),
         ("level", MAX_LEVEL),
         ("depth", MAX_DEPTH),
+        ("tree_level", MAX_LEVEL),
+        ("maxlen", MAX_DEPTH),
     ]
     for name, cap in checks:
         value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
         if value is not None and value > cap:
-            raise ResourceCapExceeded(f"--{name} {value} exceeds cap {cap}")
+            raise ResourceCapExceeded(f"{flag} {value} exceeds cap {cap}")
         if value is not None and value < 0:
-            raise UsageError(f"--{name} must be non-negative")
+            raise UsageError(f"{flag} must be non-negative")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -495,11 +472,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1 if exc.code else 0
     try:
         _check_caps(args)
-        return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+        code, payload, text = args.fn(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            print("\n".join(text(payload)))
+        return code
+    except (UsageError, FileNotFoundError, ValueError) as exc:
+        # ValueError covers ParseError and json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapExceeded as exc:

@@ -148,15 +148,6 @@ class Witness:
         # for one-sided witnesses: the right-side states not yet refuted
         self.image = image
 
-    def principal_trace(self) -> List:
-        """Flatten to a readable move list: labels descended, then masses."""
-        moves = [(self.label, self.left, self.right)]
-        if self.sub:
-            first = next(iter(self.sub.values()))
-            if isinstance(first, Witness):
-                moves.extend(first.principal_trace())
-        return moves
-
     def mass_pairs(self) -> List[Tuple[Dyadic, Dyadic]]:
         pairs = [(self.left[0], self.right[0])]
         for w in self.sub.values():

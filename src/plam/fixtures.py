@@ -218,7 +218,7 @@ def fx_sim_refutation() -> Tuple[bool, str]:
     ok2 = verify_witness(TermState(N48), TermState(M48), w2, lab, bisim=False)
     pairs = {(str(l), str(r)) for l, r in w1.mass_pairs() + w2.mass_pairs()}
     expected = {("1", "1/2"), ("1/2", "0")}
-    return ok1 and ok2 and expected <= pairs, f"mass pairs {pairs}"
+    return ok1 and ok2 and expected <= pairs, f"mass pairs {sorted(pairs)}"
 
 
 def fx_appcmp_separation() -> Tuple[bool, str]:

@@ -6,7 +6,6 @@ is kept in that form throughout; nothing in this module rounds.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 
@@ -47,16 +46,6 @@ class Dyadic:
         if den <= 0 or den & (den - 1):
             raise ValueError(f"denominator of {text!r} is not a power of two")
         return cls(num, den.bit_length() - 1)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Dyadic":
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"{q} is not dyadic")
-        return cls(q.numerator, den.bit_length() - 1)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = max(self.exp, other.exp)
@@ -170,15 +159,6 @@ class Distr:
     def __bool__(self) -> bool:
         return bool(self._weights)
 
-    def scale(self, q: Dyadic) -> "Distr":
-        if q > ONE:
-            raise ValueError("scale factor exceeds 1")
-        return Distr((t, w * q) for t, w in self._weights.items())
-
-    def __add__(self, other: "Distr") -> "Distr":
-        pairs = list(self._weights.items()) + list(other._weights.items())
-        return Distr(pairs)
-
     def leq(self, other: "Distr") -> bool:
         """Pointwise order: every weight of self is covered by other."""
         return all(w <= other.weight(t) for t, w in self._weights.items())
@@ -239,9 +219,6 @@ class Approx:
     @property
     def upper_mass(self) -> Dyadic:
         return self.upper(self.distr.support())
-
-    def upper_weight(self, key) -> Dyadic:
-        return self.upper((key,))
 
     def __repr__(self):
         return f"Approx({self.distr!r}, exact={self.exact}, deficit={self.deficit})"

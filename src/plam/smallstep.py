@@ -8,7 +8,7 @@ alpha-equivalent intermediate states.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .prob import Approx, Dyadic, Distr, HALF, ONE
 from .syntax import (
@@ -19,7 +19,6 @@ from .syntax import (
     Term,
     classify,
     is_hnf,
-    size,
     substitute,
 )
 
@@ -106,6 +105,12 @@ def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP)
     return Distr(absorbed.items())
 
 
+def _core(t: Term) -> Term:
+    while type(t) is Lam:
+        t = t.body
+    return t
+
+
 def converge(
     t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP
 ) -> Approx:
@@ -118,14 +123,19 @@ def converge(
     step = _step_fn(strategy)
     absorbed, live = _run(t, steps, step, cap)
     lower = Distr(absorbed.items())
-    seen = set(live)
-    # breadth first, over the list it extends: a depth-first search could
-    # dive into an infinite branch before it meets a nearby hnf
-    work = list(live)
+    # the closure is over cores, states with their leading binders
+    # stripped: both strategies commute with λ, and λx.W is an hnf iff W
+    # is, so a residual that only grows a λ-prefix closes too. Cores may
+    # hold dangling indices, which both strategies handle.
+    # Breadth first, over the list it extends: a depth-first search could
+    # dive into an infinite branch before it meets a nearby hnf.
+    work = list(dict.fromkeys(_core(s) for s in live))
+    seen = set(work)
     for s in work:
         for _, s2 in step(s):
             if is_hnf(s2):
                 return Approx(lower, False)
+            s2 = _core(s2)
             if s2 not in seen:
                 seen.add(s2)
                 if len(seen) > cap:
@@ -156,48 +166,3 @@ def trace_tree(
         return entry
 
     return node(t, ONE, 0)
-
-
-def commute_witness(
-    m: Term, bound: Optional[int] = None
-) -> List[Tuple[Dyadic, Term, Optional[Tuple[int, Term]]]]:
-    """For each spine successor m ⇢ₚ m′, search for a joining term.
-
-    A witness is (n₀, M₀) with m reaching M₀ in n₀+1 head steps of total
-    probability p, and m′ reaching M₀ in n₀ probability-1 head steps.
-    Returns None in place of a witness when the bound is exhausted.
-    """
-    results = []
-    for p, m2 in spine_step(m):
-        limit = bound if bound is not None else max(size(m2), 4)
-        # deterministic head chain from m2
-        chain2 = [m2]
-        cur = m2
-        for _ in range(limit):
-            if is_hnf(cur):
-                break
-            out = head_step(cur)
-            if len(out) != 1:
-                break
-            cur = out[0][1]
-            chain2.append(cur)
-        # probability-weighted head paths from m, matched against the chain
-        witness = None
-        paths = {(ONE, m)}
-        for depth in range(1, limit + 2):
-            nxt = set()
-            for q, s in paths:
-                for pq, s2 in head_step(s):
-                    nxt.add((q * pq, s2))
-            paths = nxt
-            n0 = depth - 1
-            if n0 < len(chain2):
-                target = chain2[n0]
-                for q, s in paths:
-                    if s == target and q == p:
-                        witness = (n0, target)
-                        break
-            if witness:
-                break
-        results.append((p, m2, witness))
-    return results

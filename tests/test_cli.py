@@ -1,14 +1,19 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plam.cli import main
 from plam.syntax import MAX_NESTING
+
+M24, N24 = r"\x y z.z (x (+) y)", r"\x y z.(z x) (+) (z y)"
+M48, N48 = r"\x.x (Omega (+) I)", r"\x.(x Omega) (+) (x I)"
 
 
 def run(capsys, *argv):
@@ -218,11 +223,128 @@ def test_fixtures_all_pass(capsys):
     assert payload["passed"] == len(payload["results"]) >= 18
 
 
+def test_fixtures_output_does_not_depend_on_the_hash_seed():
+    outs = set()
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "plam.cli", "fixtures", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
 def test_proptest_clean(capsys):
     code, payload, _ = run_json(capsys, "proptest", "--seed", "7", "--cases", "60")
     assert code == 0
     assert payload["cases"] == 60
     assert payload["failures"] == []
+
+
+TEXT_GOLDEN = {
+    "tree": (
+        ["tree", r"Theta (\f.y (+) y f)", "--level", "2", "--fuel", "8"],
+        """\
+level 2 tree, deficit 0
+  1/2 -> λ(0+)...y [offset -1]
+    level 1 tree, deficit 0
+      1 -> λ(0+)...y [offset 0]
+  1/2 -> λ(0+)...y [offset 0]
+""",
+    ),
+    "sim-witness": (
+        ["sim", M48, N48, "--pool", "I"],
+        r"""distinguished:
+move tau separates: left mass in [1, 1], right mass in [1/2, 1/2]
+block: HnfState(\x.x ((\y.y y) (\y.y y) (+) \y.y))
+because HnfState(\x.x ((\y.y y) (\y.y y) (+) \y.y)) vs HnfState(\x.x ((\y.y y) (\y.y y))):
+  move Apply(\x.x) separates: left mass in [1, 1], right mass in [0, 0]
+  block: TermState((\x.x) ((\x.x x) (\x.x x) (+) \x.x))
+  because TermState((\x.x) ((\x.x x) (\x.x x) (+) \x.x)) vs TermState((\x.x) ((\x.x x) (\x.x x))):
+    move tau separates: left mass in [1/2, 1/2], right mass in [0, 0]
+    block: HnfState(\x.x)
+""",
+    ),
+    "bisim-tree-witness": (
+        ["bisim", M24, N24, "--tree-level", "2"],
+        """\
+distinguished:
+tree difference at level 2: Different(path=[], left=1, right=0)
+""",
+    ),
+    "appcmp": (
+        ["appcmp", M24, N24, "--maxlen", "1"],
+        r"""(empty): left 1 right 1 -> Inconclusive
+\x.x: left 1 right 1 -> Inconclusive
+(\x.x x) (\x.x x): left 1 right 1 -> Inconclusive
+\x.x x: left 1 right 1 -> Inconclusive
+\x y.x: left 1 right 1 -> Inconclusive
+\x y.y: left 1 right 1 -> Inconclusive
+""",
+    ),
+    "compare-tree-unknown": (
+        ["compare-tree", r"(\x.y (+) x x) (\x.y (+) x x)", "y", "--fuel", "6"],
+        "unknown (deficit bound 1/64)\n",
+    ),
+    "trace": (
+        ["trace", "a (+) b"],
+        "[1] a (+) b\n  [1/2] a*\n  [1/2] b*\n"
+        "cumulative after 8 steps (mass 1):\n  1/2\ta\n  1/2\tb\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_GOLDEN)
+def test_text_format_is_pinned(capsys, name):
+    argv, expected = TEXT_GOLDEN[name]
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "problem, expected",
+    (
+        ({"p": ["1/2", "1/2"], "r": {"{1,2}": "1"}},
+         "feasible\n  s[1, {1, 2}] = 1/2\n  s[2, {1, 2}] = 1/2\n"),
+        ({"p": ["3/4", "1/2"], "r": {"{1}": "1/2", "{2}": "1/2"}},
+         "infeasible, witness subset [1]\n"),
+    ),
+    ids=("feasible", "infeasible"),
+)
+def test_assign_text_is_pinned(tmp_path, capsys, problem, expected):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    assert run(capsys, "assign", "--problem", str(path)) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    (
+        (["tree", "I", "--level", "9"], "--level"),
+        (["bisim", r"Theta (\f x.x f f)", r"Theta (\f x.x f (f (+) f))",
+          "--tree-level", "14", "--depth", "1"], "--tree-level"),
+        (["appcmp", M24, N24, "--maxlen", "6"], "--maxlen"),
+        (["appcmp", M24, N24, "--maxlen", "7"], "--maxlen"),
+        (["appcmp", "I", "I", "--maxlen", "1000000000", "--pool", "I"], "--maxlen"),
+    ),
+    ids=("level", "tree-level", "maxlen-6", "maxlen-7", "maxlen-huge"),
+)
+def test_over_cap_flags_exit_two_at_once(capsys, argv, flag):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"resource cap exceeded: {flag} ")
+
+
+def test_appcmp_sequence_cap_boundary(capsys):
+    # the default five-term pool at length 4 gives 781 sequences, under the cap
+    code, payload, _ = run_json(capsys, "appcmp", "I", "I", "--maxlen", "4")
+    assert code == 0 and len(payload["sequences"]) == 781
+    code, out, err = run(capsys, "appcmp", "I", "I", "--maxlen", "-1")
+    assert (code, out) == (1, "") and "--maxlen must be non-negative" in err
 
 
 def test_entry_point_script():

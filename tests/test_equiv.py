@@ -14,16 +14,12 @@ from plam.equiv import (
     transitions,
     verify_witness,
 )
+from plam.fixtures import M24, M48, N24, N48
 from plam.prob import Distr, Dyadic, ONE, ZERO
 from plam.smallstep import converge
 from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, Var, parse
 
 D = Dyadic.parse
-
-M24 = parse(r"\x y z.z (x (+) y)")
-N24 = parse(r"\x y z.(z x) (+) (z y)")
-M48 = parse(r"\x.x (Omega (+) I)")
-N48 = parse(r"\x.(x Omega) (+) (x I)")
 
 
 def test_tau_transition_lands_on_peeled_hnfs():
@@ -58,7 +54,7 @@ def test_one_approx_contract_across_producers():
     by_tau = transitions(TermState(t), TAU, 4, steps=8)
     assert by_tau.exact == by_steps.exact
     assert (by_tau.mass, by_tau.upper_mass) == (by_steps.mass, by_steps.upper_mass)
-    assert by_tau.upper_weight(HnfState(I.body)) == by_steps.upper_weight(I) == D("1/2")
+    assert by_tau.upper((HnfState(I.body),)) == by_steps.upper((I,)) == D("1/2")
 
 
 def test_apply_transition_substitutes():
@@ -170,12 +166,6 @@ def test_forged_bisim_witness_with_open_block_rejected():
 def test_forged_sim_witness_dropping_the_block_itself_rejected():
     forged = Witness(TAU, (HnfState(Var(0)),), (ONE, ONE), (ZERO, ZERO), {}, image=())
     assert not verify_witness(TermState(I), TermState(I), forged, Lab(fuel=6), bisim=False)
-
-
-def test_witness_principal_trace():
-    w = refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
-    trace = w.principal_trace()
-    assert trace and trace[0][0] == w.label
 
 
 def test_applicative_compare_separation():

@@ -1,5 +1,8 @@
-"""No module of the package imports a name it never uses, and no
-module-level private function or class goes unreferenced.
+"""No module of the package imports a name it never uses, no
+module-level private function or class goes unreferenced, and no public
+definition is there only for callers outside the package: every public
+function, class, method or property that `plam.__all__` does not export
+is named by the package itself.
 
 A plain `ast` walk stands in for a linter, so the check needs nothing
 beyond the standard library. `__init__.py` is exempt from the import
@@ -10,6 +13,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import plam
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plam"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -37,32 +42,65 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_defs(sources: dict) -> list:
-    """Module-level `_private` functions and classes that no statement of
-    any module names, except the definition itself (so that a left-over
-    recursive helper is still caught)."""
-    defs, uses = [], []
-    for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if own.startswith("_") and not own.startswith("__"):
-                    defs.append((module, own))
-            uses.append((module, own, names))
+def _units(source: str) -> list:
+    """(owner, names) for each module-level statement, where `names` holds
+    every name and attribute the statement mentions. A class statement is
+    split into its header and its body statements, so that a method's own
+    body does not count as a use of that method; `owner` is the path of
+    the definition a unit belongs to, or () for any other statement."""
+    units = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            header = stmt.bases + stmt.keywords + stmt.decorator_list
+            units.append(((stmt.name,), header))
+            for inner in stmt.body:
+                own = getattr(inner, "name", None)
+                units.append(((stmt.name, own) if own else (stmt.name,), [inner]))
+        elif isinstance(stmt, ast.FunctionDef):
+            units.append(((stmt.name,), [stmt]))
+        else:
+            units.append(((), [stmt]))
+    out = []
+    for owner, nodes in units:
+        names = set()
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        out.append((owner, names))
+    return out
+
+
+def _unreferenced(sources: dict, wanted) -> list:
+    """`module:path` of each definition `wanted(path)` selects that no
+    statement of any module names, except the definition itself (so that
+    a left-over recursive helper is still caught)."""
+    units = {module: _units(source) for module, source in sources.items()}
+    defs = {
+        (module, owner)
+        for module, module_units in units.items()
+        for owner, _ in module_units
+        if owner and wanted(owner)
+    }
     return sorted(
-        f"{module}:{name}"
-        for module, name in defs
+        f"{module}:{'.'.join(path)}"
+        for module, path in defs
         if not any(
-            name in names and (m, own) != (module, name) for m, own, names in uses
+            path[-1] in names and not (m == module and owner[: len(path)] == path)
+            for m, module_units in units.items()
+            for owner, names in module_units
         )
     )
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """Module-level `_private` functions and classes that nothing names."""
+    return _unreferenced(sources, lambda path: len(path) == 1 and _private(path[0]))
 
 
 def test_private_checker_flags_unreferenced_and_self_referenced():
@@ -76,3 +114,38 @@ def test_private_checker_flags_unreferenced_and_self_referenced():
 def test_no_unreferenced_private_defs():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_defs(sources) == []
+
+
+def unreferenced_public_defs(sources: dict, exported) -> list:
+    """Public definitions that only callers outside the package could use:
+    module-level functions and classes not in `exported`, and methods or
+    properties of any module-level class, that nothing in `sources` names."""
+
+    def wanted(path):
+        return not path[-1].startswith("_") and (len(path) > 1 or path[0] not in exported)
+
+    return _unreferenced(sources, wanted)
+
+
+def test_public_checker_flags_test_only_names():
+    sources = {
+        "a": (
+            "def api(): pass\ndef helper(): pass\ndef orphan(): pass\n"
+            "class Box:\n"
+            "    def used(self): return self.rec()\n"
+            "    def rec(self): return self.rec()\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "    def __len__(self): return self.size\n"
+        ),
+        "b": "from a import helper\nx = helper().used()\n",
+    }
+    assert unreferenced_public_defs(sources, {"api", "Box"}) == ["a:orphan"]
+    assert unreferenced_public_defs(sources, {"api"}) == ["a:Box", "a:orphan"]
+    sources["a"] = sources["a"].replace("return self.rec()\n    def rec", "return 0\n    def rec")
+    assert unreferenced_public_defs(sources, {"api", "Box"}) == ["a:Box.rec", "a:orphan"]
+
+
+def test_no_test_only_public_api():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_public_defs(sources, set(plam.__all__)) == []

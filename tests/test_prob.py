@@ -1,9 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from plam.prob import BOT, Distr, Dyadic, point
 from plam.syntax import parse
+
+from oracles import frac
 
 
 def test_canonical_form():
@@ -37,17 +37,11 @@ def test_parse_and_str():
         Dyadic.parse("1/3")
 
 
-def test_from_fraction():
-    assert Dyadic.from_fraction(Fraction(5, 16)) == Dyadic(5, 4)
-    with pytest.raises(ValueError):
-        Dyadic.from_fraction(Fraction(1, 3))
-
-
 def test_arithmetic_matches_fractions():
     a, b = Dyadic(3, 3), Dyadic(5, 4)
-    assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-    assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-    assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
+    assert frac(a + b) == frac(a) + frac(b)
+    assert frac(a - b) == frac(a) - frac(b)
+    assert frac(a * b) == frac(a) * frac(b)
 
 
 def test_comparisons():
@@ -84,9 +78,9 @@ def test_distr_mass_cap():
 def test_distr_scale_add_leq():
     t, u = parse("I"), parse("T")
     d = Distr([(t, Dyadic(1, 1)), (u, Dyadic(1, 2))])
-    half = d.scale(Dyadic(1, 1))
+    half = Distr((k, w * Dyadic(1, 1)) for k, w in d.items())
     assert half.weight(t) == Dyadic(1, 2)
-    total = half + half
+    total = Distr(list(half.items()) + list(half.items()))
     assert total == d
     assert half.leq(d) and not d.leq(half)
     assert BOT.leq(d)

@@ -3,7 +3,6 @@ import pytest
 from plam.prob import Distr, Dyadic, ONE
 from plam.smallstep import (
     ResourceCapExceeded,
-    commute_witness,
     converge,
     head_step,
     spine_step,
@@ -11,6 +10,8 @@ from plam.smallstep import (
     trace_tree,
 )
 from plam.syntax import App, Choice, OMEGA, is_hnf, parse
+
+from oracles import commute_witness
 
 D = Dyadic.parse
 HALF = Dyadic(1, 1)
@@ -104,7 +105,7 @@ def test_converge_certifies_half():
     res = converge(Choice(OMEGA, parse("I")), 8)
     assert res.distr.mass == HALF and res.exact
     assert res.upper_mass == HALF
-    assert res.upper_weight(parse("I")) == HALF
+    assert res.upper((parse("I"),)) == HALF
 
 
 def test_converge_inexact_keeps_interval_open():
@@ -112,7 +113,15 @@ def test_converge_inexact_keeps_interval_open():
     res = converge(App(m, m), 4, strategy="head")
     assert not res.exact
     assert res.upper_mass == ONE
-    assert res.upper_weight(parse("y")) == res.distr.weight(parse("y")) + res.deficit
+    assert res.upper((parse("y"),)) == res.distr.weight(parse("y")) + res.deficit
+
+
+def test_converge_certifies_a_growing_binder_prefix():
+    # the residual only grows a λ-prefix: λz.W, λz z.W, ... with W fixed
+    t = parse(r"(\y z.y y) (\y z.y y)")
+    for strategy in ("head", "spine"):
+        res = converge(t, 8, strategy, cap=16)
+        assert res.exact and res.upper_mass == Dyadic(0)
 
 
 def test_trace_tree_shape():

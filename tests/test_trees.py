@@ -1,6 +1,7 @@
 import pytest
 
 from plam.equiv import refute_bisim
+from plam.fixtures import M24, N24, THETA_Y
 from plam.prob import Dyadic, ONE, ZERO
 from plam.syntax import App, lam_close, parse
 from plam.trees import (
@@ -16,8 +17,6 @@ from plam.trees import (
 )
 
 D = Dyadic.parse
-
-THETA_Y = App(parse("Theta"), parse(r"\f.y (+) y f"))
 
 
 def test_bottom_tree():
@@ -98,12 +97,10 @@ def test_theta_fixture_levels():
 
 
 def test_separation_is_certified():
-    m = parse(r"\x y z.z (x (+) y)")
-    n = parse(r"\x y z.(z x) (+) (z y)")
-    v = tree_eq(prob_tree(m, 2, 8), prob_tree(n, 2, 8))
+    v = tree_eq(prob_tree(M24, 2, 8), prob_tree(N24, 2, 8))
     assert isinstance(v, Different)
     # a certified difference cannot flip to Equal with more fuel
-    v2 = tree_eq(prob_tree(m, 2, 12), prob_tree(n, 2, 12))
+    v2 = tree_eq(prob_tree(M24, 2, 12), prob_tree(N24, 2, 12))
     assert not isinstance(v2, Equal)
 
 
