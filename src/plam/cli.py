@@ -10,6 +10,7 @@ a renderer of that payload as text lines; `main` prints one of the two.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -427,7 +428,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused after it."""
     top = argparse.ArgumentParser(
         prog="plam",
         description="Exact interpreter and equivalence toolkit for the "

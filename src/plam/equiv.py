@@ -204,9 +204,10 @@ class Lab:
 
     def trans(self, state, label) -> Approx:
         key = (state, label)
-        if key not in self._trans_memo:
-            self._trans_memo[key] = transitions(state, label, self.fuel, self.steps)
-        return self._trans_memo[key]
+        out = self._trans_memo.get(key)
+        if out is None:
+            out = self._trans_memo[key] = transitions(state, label, self.fuel, self.steps)
+        return out
 
     def _tree_separated(self, u, v) -> Optional[TreeWitness]:
         if self.tree_level <= 0:

@@ -78,6 +78,9 @@ def _run(
     """Iterate the absorbing chain, merging equal states.
 
     Returns (absorbed hnf mass, live non-hnf mass) after `steps` steps.
+    A step that leaves `live` unchanged absorbed nothing (every weight is
+    positive and outcomes sum to one), so every later step repeats it:
+    the loop stops there with the result the remaining steps would give.
     """
     absorbed: Dict[Term, Dyadic] = {}
     live: Dict[Term, Dyadic] = {}
@@ -91,11 +94,13 @@ def _run(
                 target = absorbed if is_hnf(s2) else nxt
                 prev = target.get(s2)
                 target[s2] = prev + w * p if prev is not None else w * p
-        live = nxt
-        if len(live) + len(absorbed) > cap:
+        if len(nxt) + len(absorbed) > cap:
             raise ResourceCapExceeded(
                 f"reduction state count exceeded cap {cap}"
             )
+        if nxt == live:
+            break
+        live = nxt
     return absorbed, live
 
 

@@ -77,7 +77,10 @@ class Lam(Term):
         self._hash = hash((3, body._hash))
 
     def __eq__(self, other):
-        return type(other) is Lam and self._hash == other._hash and other.body == self.body
+        # reduction shares closed subterms, so identity is the common case
+        return self is other or (
+            type(other) is Lam and self._hash == other._hash and other.body == self.body
+        )
 
     __hash__ = Term.__hash__
 
@@ -93,7 +96,7 @@ class App(Term):
         self._hash = hash((4, fun._hash, arg._hash))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             type(other) is App
             and self._hash == other._hash
             and other.fun == self.fun
@@ -113,7 +116,7 @@ class Choice(Term):
         self._hash = hash((5, left._hash, right._hash))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             type(other) is Choice
             and self._hash == other._hash
             and other.left == self.left

@@ -91,13 +91,6 @@ class ProbTree:
             (self.deficit.num, self.deficit.exp),
         )
 
-    @property
-    def mass(self) -> Dyadic:
-        total = ZERO
-        for _, w in self.entries:
-            total = total + w
-        return total
-
     def weight(self, vt: ValueTree) -> Dyadic:
         for k, w in self.entries:
             if k == vt:

@@ -2,11 +2,11 @@
 not part of the library."""
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from plam.prob import Dyadic, ONE
-from plam.smallstep import head_step, spine_step
-from plam.syntax import Term, is_hnf, size
+from plam.smallstep import StepOutcome, head_step, spine_step
+from plam.syntax import ResourceCapExceeded, Term, is_hnf, size
 
 
 def frac(d: Dyadic) -> Fraction:
@@ -57,3 +57,26 @@ def commute_witness(
                 break
         results.append((p, m2, witness))
     return results
+
+
+def run_every_step(
+    t: Term, steps: int, step: Callable[[Term], StepOutcome], cap: int
+) -> Tuple[Dict[Term, Dyadic], Dict[Term, Dyadic]]:
+    """The absorbing chain of `smallstep._run`, iterated for all `steps`
+    steps with no stop at a fixed point."""
+    absorbed: Dict[Term, Dyadic] = {}
+    live: Dict[Term, Dyadic] = {}
+    (absorbed if is_hnf(t) else live)[t] = ONE
+    for _ in range(steps):
+        if not live:
+            break
+        nxt: Dict[Term, Dyadic] = {}
+        for s, w in live.items():
+            for p, s2 in step(s):
+                target = absorbed if is_hnf(s2) else nxt
+                prev = target.get(s2)
+                target[s2] = prev + w * p if prev is not None else w * p
+        live = nxt
+        if len(live) + len(absorbed) > cap:
+            raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
+    return absorbed, live

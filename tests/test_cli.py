@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plam.cli import main
+from plam.cli import _build_parser, main
 from plam.syntax import MAX_NESTING
 
 M24, N24 = r"\x y z.z (x (+) y)", r"\x y z.(z x) (+) (z y)"
@@ -418,6 +418,19 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "usage" in out
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    valid = ("eval", "Delta (T (+) F)", "--fuel", "4", "--format", "json")
+    code, _, err = run(capsys, "eval", "x", "--fuel", "abc")
+    assert code == 1 and "usage" in err
+    code, first, _ = run(capsys, *valid)
+    assert code == 0
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage" in out
+    code, again, _ = run(capsys, *valid)
+    assert code == 0 and again == first
+    assert _build_parser() is _build_parser()
 
 
 # raw text mostly fails to tokenize, so half the cases are built from tokens

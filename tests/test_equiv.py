@@ -155,6 +155,31 @@ def test_bisim_witness_without_sub_witnesses_rejected():
     assert not verify_witness(TermState(M24), TermState(N24), bad, lab, bisim=True)
 
 
+def test_witness_with_a_shrunk_block_rejected():
+    u, v = TermState(parse(r"\x.(x (+) x) x")), TermState(parse(r"(\x y.y) (+) \x.x"))
+    lab = Lab(fuel=3, pool=(I, OMEGA))
+    w = refute_bisim(u.term, v.term, depth=3, fuel=3, pool=(I, OMEGA))
+    assert len(w.block) == 2 and verify_witness(u, v, w, lab, bisim=True)
+    du, dv = lab.trans(u, w.label), lab.trans(v, w.label)
+    for kept in w.block:
+        # the intervals are recomputed for the smaller block, so they replay
+        block = (kept,)
+        left, right = (du.lower(block), du.upper(block)), (dv.lower(block), dv.upper(block))
+        bad = Witness(w.label, block, left, right, w.sub)
+        assert not verify_witness(u, v, bad, lab, bisim=True)
+
+
+def test_witness_with_swapped_sides_rejected():
+    lab = Lab(fuel=6, pool=(OMEGA, I))
+    w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
+    assert verify_witness(TermState(M24), TermState(N24), w, lab, bisim=True)
+    assert not verify_witness(TermState(N24), TermState(M24), w, lab, bisim=True)
+    lab = Lab(fuel=6, pool=(I,))
+    w = refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
+    assert verify_witness(TermState(M48), TermState(N48), w, lab, bisim=False)
+    assert not verify_witness(TermState(N48), TermState(M48), w, lab, bisim=False)
+
+
 def test_forged_bisim_witness_with_open_block_rejected():
     # the two hnfs are bisimilar, so no sub-witness can separate them; a
     # block holding one of them is not closed, though its intervals replay

@@ -7,20 +7,26 @@ reproducible.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plam import smallstep
 from plam.bigstep import eval_fuel
+from plam.equiv import Lab, TermState, refute_bisim, refute_sim, verify_witness
 from plam.gen import random_term
 from plam.prob import Distr, Dyadic, ONE, ZERO
 from plam.smallstep import converge, head_step, spine_step, step_n
 from plam.syntax import (
+    I,
+    OMEGA,
     THETA,
     App,
     Choice,
     Free,
     Lam,
+    ResourceCapExceeded,
     Var,
     classify,
     free_vars,
@@ -34,7 +40,7 @@ from plam.syntax import (
 )
 from plam.trees import Different, Equal, prob_tree, tree_eq
 
-from oracles import commute_witness, frac
+from oracles import commute_witness, frac, run_every_step
 
 SETTINGS = dict(deadline=None)
 
@@ -361,3 +367,66 @@ def test_long_spine_needs_no_recursion():
         t = App(t, Free("y"))
     assert size(t) == 10001
     assert free_vars(t) == frozenset({"y"})
+
+
+# terms whose chain sits on one state, or on a fixed set of states, for good
+LOOPING_TERMS = [
+    parse(src)
+    for src in ("Omega", "Omega (+) I", "hid", "I Omega", r"\x.Omega", "x Omega (+) Omega")
+]
+# two states that swap their mass and leak some of it each step: the set
+# of live states repeats, but their weights do not
+_LEAK = r"(\x.x x (+) I) (\x.x x (+) I)"
+LOOPING_TERMS.append(parse(f"{_LEAK} (+) ({_LEAK} (+) I)"))
+
+
+def _or_cap(run):
+    try:
+        return run()
+    except ResourceCapExceeded:
+        return "cap"
+
+
+def _converged(t, n, strategy):
+    res = converge(t, n, strategy, cap=512)
+    return res.distr, res.exact
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(
+    st.one_of(some_terms, st.sampled_from(LOOPING_TERMS)),
+    st.integers(0, 12),
+    st.sampled_from(("head", "spine")),
+)
+def test_fixed_point_stop_matches_every_step(t, n, strategy):
+    step = smallstep._STRATEGIES[strategy]
+    rows = _or_cap(lambda: step_n(t, n, strategy, cap=512))
+    assert rows == _or_cap(lambda: Distr(run_every_step(t, n, step, 512)[0].items()))
+    converged = _or_cap(lambda: _converged(t, n, strategy))
+    with mock.patch.object(smallstep, "_run", run_every_step):
+        assert converged == _or_cap(lambda: _converged(t, n, strategy))
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(any_terms, any_terms, st.integers(1, 3), st.integers(0, 3), st.integers(1, 4))
+def test_tree_difference_survives_more_fuel(m, n, level, f, k):
+    if isinstance(tree_eq(prob_tree(m, level, f), prob_tree(n, level, f)), Different):
+        later = tree_eq(prob_tree(m, level, f + k), prob_tree(n, level, f + k))
+        assert isinstance(later, Different)
+
+
+GAME_POOL = (I, OMEGA)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(closed_terms, closed_terms, st.integers(1, 4), st.integers(1, 4), st.booleans())
+def test_game_witness_survives_more_fuel(m, n, f, k, bisim):
+    game = refute_bisim if bisim else refute_sim
+    # a random pair, and a pair that shares half of its mass
+    for u, v in ((m, n), (m, Choice(m, n))):
+        if game(u, v, depth=3, fuel=f, pool=GAME_POOL) is None:
+            continue
+        w = game(u, v, depth=3, fuel=f + k, pool=GAME_POOL)
+        assert w is not None
+        lab = Lab(fuel=f + k, pool=GAME_POOL)
+        assert verify_witness(TermState(u), TermState(v), w, lab, bisim)

@@ -1,5 +1,6 @@
 import pytest
 
+from plam import smallstep
 from plam.prob import Distr, Dyadic, ONE
 from plam.smallstep import (
     ResourceCapExceeded,
@@ -99,6 +100,25 @@ def test_converge_certifies_divergence():
     res = converge(OMEGA, 4)
     assert res.distr == Distr() and res.exact
     assert res.upper_mass == Dyadic(0)
+
+
+def test_converge_stops_at_the_fixed_point(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return head_step(t)
+
+    monkeypatch.setitem(smallstep._STRATEGIES, "head", counting)
+    res = converge(OMEGA, 48)
+    assert res.distr == Distr() and res.exact
+    # one step finds Omega's self-loop, one more certifies it
+    assert len(calls) <= 2
+
+
+def test_cap_is_checked_before_the_fixed_point_stop():
+    with pytest.raises(ResourceCapExceeded):
+        converge(OMEGA, 5, cap=0)
 
 
 def test_converge_certifies_half():

@@ -21,7 +21,8 @@ D = Dyadic.parse
 
 def test_bottom_tree():
     bt = bottom()
-    assert bt.entries == () and bt.deficit == ONE and bt.mass == ZERO
+    assert bt.entries == () and bt.deficit == ONE
+    assert sum((w for _, w in bt.entries), ZERO) == ZERO
 
 
 def test_level_zero_is_bottom():
