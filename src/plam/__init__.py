@@ -1,7 +1,7 @@
 """Exact-arithmetic interpreter and equivalence toolkit for the untyped
 probabilistic λ-calculus under head-style reduction."""
 
-from .prob import BOT, Approx, Distr, Dyadic, point
+from .prob import Approx, Distr, Dyadic, point
 from .syntax import (
     App,
     Choice,

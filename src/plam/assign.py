@@ -23,11 +23,11 @@ Subset = FrozenSet[int]
 
 
 class AssignmentProblem:
-    def __init__(self, p: Sequence[Fraction], r: Dict[Subset, Fraction], n_cap: int = DEFAULT_N_CAP):
+    def __init__(self, p: Sequence[Fraction], r: Dict[Subset, Fraction]):
         self.p = [Fraction(x) for x in p]
         self.n = len(self.p)
-        if self.n > n_cap:
-            raise ValueError(f"assignment size {self.n} exceeds cap {n_cap}")
+        if self.n > DEFAULT_N_CAP:
+            raise ValueError(f"assignment size {self.n} exceeds cap {DEFAULT_N_CAP}")
         self.r = {}
         for subset, value in r.items():
             subset = frozenset(subset)

@@ -23,7 +23,7 @@ from .equiv import DEFAULT_POOL_NAMES, TreeWitness, applicative_compare, refute_
 from .fixtures import run_fixtures
 from .gen import closed_corpus
 from .prob import Distr, Dyadic
-from .smallstep import head_step, spine_step, step_n, trace_tree
+from .smallstep import DEFAULT_LEAF_CAP, head_step, spine_step, step_n, trace_tree
 from .syntax import (
     ParseError,
     ResourceCapExceeded,
@@ -319,12 +319,25 @@ def _assign_text(p: dict) -> List[str]:
     ]
 
 
+def _number(value) -> Fraction:
+    """One demand or supply of a problem file, read exactly."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"problem file: {value!r} is not a number") from exc
+
+
 def cmd_assign(args) -> Answer:
     with open(args.problem, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    p = [Fraction(x) for x in data.get("p", [])]
-    r = {_parse_subset(k): Fraction(v) for k, v in data.get("r", {}).items()}
-    problem = AssignmentProblem(p, r)
+    if not isinstance(data, dict):
+        raise UsageError("problem file must hold a JSON object")
+    p, r = data.get("p", []), data.get("r", {})
+    if not isinstance(p, list) or not isinstance(r, dict):
+        raise UsageError('problem file: "p" must be a list and "r" an object')
+    problem = AssignmentProblem(
+        [_number(x) for x in p], {_parse_subset(k): _number(v) for k, v in r.items()}
+    )
     result = assignment_solve(problem)
     if isinstance(result, Infeasible):
         payload = {"feasible": False, "witness": sorted(result.witness)}
@@ -408,7 +421,7 @@ _COMMANDS = (
     ("trace", cmd_trace, "small-step reduction tree and table", ("term",), (
         ("--strategy", dict(choices=("head", "spine"), default="head")),
         _int("--steps", 8),
-        _int("--cap", 1 << 16),
+        _int("--cap", DEFAULT_LEAF_CAP),
     )),
     ("tree", cmd_tree, "level-indexed probabilistic tree", ("term",),
      (_int("--level", 2), _int("--fuel", 16))),
@@ -456,6 +469,7 @@ def _check_caps(args) -> None:
         ("depth", MAX_DEPTH),
         ("tree_level", MAX_LEVEL),
         ("maxlen", MAX_DEPTH),
+        ("cap", DEFAULT_LEAF_CAP),
     ]
     for name, cap in checks:
         value = getattr(args, name, None)
@@ -481,8 +495,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print("\n".join(text(payload)))
         return code
-    except (UsageError, FileNotFoundError, ValueError) as exc:
-        # ValueError covers ParseError and json.JSONDecodeError
+    except (UsageError, OSError, ValueError) as exc:
+        # OSError covers an unreadable --problem file; ValueError covers
+        # ParseError and json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapExceeded as exc:

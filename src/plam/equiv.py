@@ -62,12 +62,6 @@ class Tau:
     def __repr__(self):
         return "tau"
 
-    def __eq__(self, other):
-        return type(other) is Tau
-
-    def __hash__(self):
-        return hash(Tau)
-
 
 class Apply:
     __slots__ = ("argument",)
@@ -93,17 +87,20 @@ TAU = Tau()
 _EMPTY_EXACT = Approx(Distr(), True)
 
 
-def transitions(state, label, fuel: int, steps: Optional[int] = None) -> Approx:
+def _step_budget(fuel: int) -> int:
+    """The head steps `converge` gets for a game or comparison at `fuel`."""
+    return max(STEP_FACTOR * fuel, 8)
+
+
+def transitions(state, label, fuel: int) -> Approx:
     """Transition probabilities of the chain, as a certified lower bound.
 
     A term state evaluates under τ, landing on binder-peeled hnf states;
     a distinguished hnf consumes an Apply label by substitution. All other
     pairs have no transitions at all (exactly).
     """
-    if isinstance(state, TermState) and label == TAU:
-        if steps is None:
-            steps = max(STEP_FACTOR * fuel, 8)
-        res = converge(state.term, steps)
+    if isinstance(state, TermState) and label is TAU:
+        res = converge(state.term, _step_budget(fuel))
         pairs = []
         for h, w in res.distr.items():
             if not isinstance(h, Lam):
@@ -183,61 +180,50 @@ def _disjoint(left: Tuple[Dyadic, Dyadic], right: Tuple[Dyadic, Dyadic]) -> bool
     return left[0] > right[1] or right[0] > left[1]
 
 
+def _tree_witness(u, v, level: int, fuel: int) -> Optional[TreeWitness]:
+    """Separation of two states by their level-`level` trees, or None."""
+    a = prob_tree(_state_term(u), level, fuel)
+    b = prob_tree(_state_term(v), level, fuel)
+    verdict = tree_eq(a, b)
+    return TreeWitness(level, verdict) if isinstance(verdict, Different) else None
+
+
 class Lab:
     """Shared configuration and memo tables for the refutation games."""
 
-    def __init__(
-        self,
-        fuel: int = 8,
-        pool: Sequence[Term] = (),
-        tree_level: int = 0,
-        steps: Optional[int] = None,
-    ):
+    def __init__(self, fuel: int = 8, pool: Sequence[Term] = (), tree_level: int = 0):
         self.fuel = fuel
         # built once: an open pool term fails here, not mid-game
         self.labels = (TAU,) + tuple(Apply(p) for p in pool)
         self.tree_level = tree_level
-        self.steps = steps
         self._trans_memo: Dict[Tuple, Approx] = {}
-        self._bisim_memo: Dict[Tuple, Optional[object]] = {}
-        self._sim_memo: Dict[Tuple, Optional[object]] = {}
+        self._diff_memo: Dict[Tuple, Optional[object]] = {}
 
     def trans(self, state, label) -> Approx:
         key = (state, label)
         out = self._trans_memo.get(key)
         if out is None:
-            out = self._trans_memo[key] = transitions(state, label, self.fuel, self.steps)
+            out = self._trans_memo[key] = transitions(state, label, self.fuel)
         return out
 
-    def _tree_separated(self, u, v) -> Optional[TreeWitness]:
-        if self.tree_level <= 0:
+    def diff(self, u, v, depth: int, bisim: bool) -> Optional[object]:
+        """A witness that u and v are not bisimilar (`bisim`) or that u is
+        not simulated by v (otherwise), or None."""
+        if u == v or depth <= 0:
             return None
-        a = prob_tree(_state_term(u), self.tree_level, self.fuel)
-        b = prob_tree(_state_term(v), self.tree_level, self.fuel)
-        verdict = tree_eq(a, b)
-        if isinstance(verdict, Different):
-            return TreeWitness(self.tree_level, verdict)
-        return None
-
-    # -- bisimilarity ------------------------------------------------------
-
-    def bisim_diff(self, u, v, depth: int) -> Optional[object]:
-        """A witness that u and v are not bisimilar, or None."""
-        if u == v:
-            return None
-        if depth <= 0:
-            return None
-        key = (u, v, depth)
-        if key in self._bisim_memo:
-            return self._bisim_memo[key]
-        self._bisim_memo[key] = None  # cut cycles pessimistically
-        result = self._tree_separated(u, v)
-        if result is None:
-            for label in self.labels:
-                result = self._bisim_label_diff(u, v, label, depth)
-                if result is not None:
-                    break
-        self._bisim_memo[key] = result
+        key = (u, v, depth, bisim)
+        if key in self._diff_memo:
+            return self._diff_memo[key]
+        self._diff_memo[key] = None  # cut cycles pessimistically
+        result = None
+        if bisim and self.tree_level > 0:
+            result = _tree_witness(u, v, self.tree_level, self.fuel)
+        label_diff = self._bisim_label_diff if bisim else self._sim_label_diff
+        for label in self.labels:
+            if result is not None:
+                break
+            result = label_diff(u, v, label, depth)
+        self._diff_memo[key] = result
         return result
 
     def _bisim_label_diff(self, u, v, label, depth: int) -> Optional[Witness]:
@@ -252,7 +238,7 @@ class Lab:
         separated: Dict[Tuple, bool] = {}
         for i, s1 in enumerate(support):
             for s2 in support[i + 1:]:
-                w = self.bisim_diff(s1, s2, depth - 1)
+                w = self.diff(s1, s2, depth - 1, True)
                 separated[(s1, s2)] = separated[(s2, s1)] = w is not None
                 if w is not None:
                     sub[(s1, s2)] = w
@@ -271,26 +257,6 @@ class Lab:
                 return Witness(label, tuple(block), left, right, used)
         return None
 
-    # -- similarity --------------------------------------------------------
-
-    def sim_diff(self, u, v, depth: int) -> Optional[object]:
-        """A witness that u is not simulated by v, or None."""
-        if u == v:
-            return None
-        if depth <= 0:
-            return None
-        key = (u, v, depth)
-        if key in self._sim_memo:
-            return self._sim_memo[key]
-        self._sim_memo[key] = None
-        result = None
-        for label in self.labels:
-            result = self._sim_label_diff(u, v, label, depth)
-            if result is not None:
-                break
-        self._sim_memo[key] = result
-        return result
-
     def _sim_label_diff(self, u, v, label, depth: int) -> Optional[Witness]:
         du, dv = self.trans(u, label), self.trans(v, label)
         left_support = list(du.distr.support())
@@ -303,7 +269,7 @@ class Lab:
         for s1 in left_support:
             above[s1] = []
             for s2 in right_support:
-                w = self.sim_diff(s1, s2, depth - 1)
+                w = self.diff(s1, s2, depth - 1, False)
                 if w is None:
                     above[s1].append(s2)
                 else:
@@ -371,7 +337,6 @@ def refute_bisim(
     fuel: int = 8,
     pool: Sequence[Term] = (),
     tree_level: int = 0,
-    steps: Optional[int] = None,
 ) -> Optional[object]:
     """Search for a certificate that m and n are not bisimilar.
 
@@ -379,8 +344,8 @@ def refute_bisim(
     order). None is always inconclusive.
     """
     m, n = _closed_pair(m, n)
-    lab = Lab(fuel=fuel, pool=pool, tree_level=tree_level, steps=steps)
-    return lab.bisim_diff(TermState(m), TermState(n), depth)
+    lab = Lab(fuel=fuel, pool=pool, tree_level=tree_level)
+    return lab.diff(TermState(m), TermState(n), depth, bisim=True)
 
 
 def refute_sim(
@@ -389,20 +354,17 @@ def refute_sim(
     depth: int = 6,
     fuel: int = 8,
     pool: Sequence[Term] = (),
-    steps: Optional[int] = None,
 ) -> Optional[object]:
     """Search for a certificate that m is not simulated by n."""
     m, n = _closed_pair(m, n)
-    lab = Lab(fuel=fuel, pool=pool, steps=steps)
-    return lab.sim_diff(TermState(m), TermState(n), depth)
+    lab = Lab(fuel=fuel, pool=pool)
+    return lab.diff(TermState(m), TermState(n), depth, bisim=False)
 
 
 def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
     """Replay a certificate: recompute every claimed interval exactly."""
     if isinstance(witness, TreeWitness):
-        a = prob_tree(_state_term(u), witness.level, lab.fuel)
-        b = prob_tree(_state_term(v), witness.level, lab.fuel)
-        return isinstance(tree_eq(a, b), Different)
+        return _tree_witness(u, v, witness.level, lab.fuel) is not None
     du, dv = lab.trans(u, witness.label), lab.trans(v, witness.label)
     if bisim:
         left = (du.lower(witness.block), du.upper(witness.block))
@@ -460,7 +422,6 @@ def applicative_compare(
     n: Term,
     arg_seqs: Sequence[Sequence[Term]],
     fuel: int = 8,
-    steps: Optional[int] = None,
 ) -> List[SeqReport]:
     """Compare total convergence mass under applicative contexts.
 
@@ -468,8 +429,7 @@ def applicative_compare(
     reach (refuting m below n); symmetrically for RightExceeds.
     """
     m, n = _closed_pair(m, n)
-    if steps is None:
-        steps = max(STEP_FACTOR * fuel, 8)
+    steps = _step_budget(fuel)
     reports = []
     for seq in arg_seqs:
         lt, rt = m, n

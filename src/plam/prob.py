@@ -181,9 +181,6 @@ class Distr:
         return "Distr({" + inner + "})"
 
 
-BOT = Distr()
-
-
 class Approx:
     """A lower bound `distr` on a limit distribution, plus whether it is exact.
 

@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from plam.cli import _build_parser, main
 from plam.syntax import MAX_NESTING
@@ -71,6 +71,11 @@ def test_fuel_cap_exit_code(capsys):
 def test_negative_fuel_rejected(capsys):
     code, _, err = run(capsys, "eval", "I", "--fuel", "-1")
     assert code == 1
+
+
+def test_negative_trace_cap_rejected(capsys):
+    code, out, err = run(capsys, "trace", "I", "--cap", "-1")
+    assert (code, out) == (1, "") and "--cap must be non-negative" in err
 
 
 def test_trace_json(capsys):
@@ -216,6 +221,51 @@ def test_assign_bad_json(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    (
+        "[1, 2]",
+        '{"r": [1]}',
+        '{"p": [null]}',
+        '{"p": ["1/2"], "r": {"{1}": null}}',
+        '{"p": ["1/0"]}',
+        '{"p": [Infinity]}',
+        None,  # --problem names a directory
+    ),
+    ids=("list", "r-list", "null-demand", "null-supply", "zero-division", "infinity", "directory"),
+)
+def test_malformed_problem_files_exit_one(tmp_path, capsys, text):
+    problem = tmp_path / "problem.json"
+    if text is None:
+        problem.mkdir()
+    else:
+        problem.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "assign", "--problem", str(problem))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["1/2", "1", "0", "1/0", "{1}", "{1,2}"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["p", "r", "{1}", "{1,2}", "{}", "x"]), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(JSON_VALUES)
+def test_any_problem_file_keeps_the_exit_code_contract(tmp_path, value):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(value), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["assign", "--problem", str(problem)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_fixtures_all_pass(capsys):
     code, payload, _ = run_json(capsys, "fixtures")
     assert code == 0
@@ -328,8 +378,10 @@ def test_assign_text_is_pinned(tmp_path, capsys, problem, expected):
         (["appcmp", M24, N24, "--maxlen", "6"], "--maxlen"),
         (["appcmp", M24, N24, "--maxlen", "7"], "--maxlen"),
         (["appcmp", "I", "I", "--maxlen", "1000000000", "--pool", "I"], "--maxlen"),
+        (["trace", r"(\x.x x (+) x x x) (\x.x x (+) x x x)", "--steps", "60",
+          "--cap", "65537"], "--cap"),
     ),
-    ids=("level", "tree-level", "maxlen-6", "maxlen-7", "maxlen-huge"),
+    ids=("level", "tree-level", "maxlen-6", "maxlen-7", "maxlen-huge", "cap"),
 )
 def test_over_cap_flags_exit_two_at_once(capsys, argv, flag):
     start = time.monotonic()

@@ -38,7 +38,7 @@ def test_tau_transition_certifies_divergence():
 
 def test_tau_transition_open_interval():
     m = parse(r"\x.I (+) x x")
-    res = transitions(TermState(App(m, m)), TAU, 1, steps=2)
+    res = transitions(TermState(App(m, m)), TAU, 1)
     assert not res.exact
     assert res.upper(()) == res.deficit
 
@@ -51,10 +51,29 @@ def test_one_approx_contract_across_producers():
     # the step-bounded chain certifies Omega's half as divergent
     by_steps = converge(t, 8)
     assert by_steps.exact and by_steps.upper_mass == D("1/2")
-    by_tau = transitions(TermState(t), TAU, 4, steps=8)
+    by_tau = transitions(TermState(t), TAU, 4)
     assert by_tau.exact == by_steps.exact
     assert (by_tau.mass, by_tau.upper_mass) == (by_steps.mass, by_steps.upper_mass)
     assert by_tau.upper((HnfState(I.body),)) == by_steps.upper((I,)) == D("1/2")
+
+
+def _chain(k):
+    """k nested applications of I to I: exactly k head steps to an hnf."""
+    t = I
+    for _ in range(k):
+        t = App(I, t)
+    return t
+
+
+@pytest.mark.parametrize(
+    "k, fuel, converged",
+    ((8, 0, True), (12, 2, True), (18, 3, True), (9, 1, False), (13, 2, False), (19, 3, False)),
+)
+def test_step_budget_is_six_per_fuel_and_at_least_eight(k, fuel, converged):
+    by_tau = transitions(TermState(_chain(k)), TAU, fuel)
+    (report,) = applicative_compare(_chain(k), _chain(k), [()], fuel=fuel)
+    for res in (by_tau, report.left, report.right):
+        assert (res.mass, res.exact) == ((ONE, True) if converged else (ZERO, False))
 
 
 def test_apply_transition_substitutes():

@@ -1,6 +1,6 @@
 import pytest
 
-from plam.prob import BOT, Distr, Dyadic, point
+from plam.prob import Distr, Dyadic, point
 from plam.syntax import parse
 
 from oracles import frac
@@ -83,7 +83,7 @@ def test_distr_scale_add_leq():
     total = Distr(list(half.items()) + list(half.items()))
     assert total == d
     assert half.leq(d) and not d.leq(half)
-    assert BOT.leq(d)
+    assert Distr().leq(d)
 
 
 def test_distr_map_and_restrict():
