@@ -41,6 +41,7 @@ MAX_STEPS = 512
 MAX_LEVEL = 8
 MAX_DEPTH = 16
 MAX_SEQUENCES = 1000  # argument sequences of one `appcmp` call
+MAX_EXPONENT = 1000  # decimal exponent of a number in a problem file
 
 _DEPTH_LETTERS = ["x", "z", "w", "v", "u"]
 DEFAULT_POOL = ",".join(DEFAULT_POOL_NAMES)
@@ -321,6 +322,12 @@ def _assign_text(p: dict) -> List[str]:
 
 def _number(value) -> Fraction:
     """One demand or supply of a problem file, read exactly."""
+    if isinstance(value, str):
+        # Fraction expands 10^exponent in full, so look at it first
+        _, e, exponent = value.upper().partition("E")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+            raise ResourceCapExceeded(f"problem file: a number's exponent exceeds {MAX_EXPONENT}")
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -329,7 +336,10 @@ def _number(value) -> Fraction:
 
 def cmd_assign(args) -> Answer:
     with open(args.problem, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise UsageError("problem file nests too deeply") from None
     if not isinstance(data, dict):
         raise UsageError("problem file must hold a JSON object")
     p, r = data.get("p", []), data.get("r", {})

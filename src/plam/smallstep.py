@@ -1,23 +1,30 @@
 """Head and head spine reduction as probabilistic transition relations.
 
-Both strategies are exposed as one-step stochastic outcomes (head normal
-forms self-loop, so iterated rows are cumulative), plus exact n-step
-convergence tables computed by exhaustive enumeration with merging of
-alpha-equivalent intermediate states.
+The reduction chain steps refocused states, not terms: a live state is
+the head form λⁿ.h M⃗ of a term that is not an hnf, its head the next
+redex, linked (for the spine strategy only) to the shared stack of the
+enclosing frames λᵏ.(λ.[ ]) N⃗ whose bodies are not hnfs. A step
+contracts the redex and decomposes only the contracted part (Danvy &
+Nielsen, "Refocusing in reduction semantics", 2004), pushing a frame
+when a λ-head's body is not an hnf and popping one when it becomes one;
+head reduction is the frameless case. An hnf leaves the chain as a
+plain term. Equal states decompose equal terms, so the exact n-step
+tables merge alpha-equivalent states. `head_step`, `spine_step` and
+`trace_tree` are term views of the one successor function.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple, Union
 
 from .prob import Approx, Dyadic, Distr, HALF, ONE
 from .syntax import (
+    App,
     Choice,
     HeadForm,
     Lam,
     ResourceCapExceeded,
     Term,
-    classify,
     is_hnf,
     substitute,
 )
@@ -25,79 +32,113 @@ from .syntax import (
 DEFAULT_LEAF_CAP = 1 << 16
 
 StepOutcome = Tuple[Tuple[Dyadic, Term], ...]
+State = Union[HeadForm, Term]  # a live state, or the hnf a step absorbs into
 
 
-def _choice_outcome(form: HeadForm) -> StepOutcome:
-    choice, args = form.head, form.args
+def _spine(strategy: str) -> bool:
+    if strategy not in ("head", "spine"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return strategy == "spine"
+
+
+def _refocus(n: int, t: Term, args: Tuple[Term, ...], up: HeadForm | None, spine: bool) -> State:
+    """The state of λⁿ.t args in the frames `up`, or the term once it is an
+    hnf outside every frame."""
+    while True:
+        if not args:
+            while type(t) is Lam:
+                n += 1
+                t = t.body
+        rev = []
+        while type(t) is App:
+            rev.append(t.arg)
+            t = t.fun
+        if rev:
+            args = (*reversed(rev), *args)
+        if type(t) is Lam and spine and not is_hnf(t.body):
+            up = HeadForm(n, None, args, up)
+            n, t, args = 0, t.body, ()
+            continue
+        form = HeadForm(n, t, args, up)
+        if type(t) is Lam or type(t) is Choice:
+            return form
+        hnf = form.plug(t, args)
+        if up is None:
+            return hnf
+        # the frame's body became an hnf, so the frame is the next redex
+        return HeadForm(up.binders, Lam(hnf), up.args, up.up)
+
+
+def _decompose(t: Term, spine: bool) -> State:
+    return t if is_hnf(t) else _refocus(0, t, (), None, spine)
+
+
+def _successor(s: HeadForm, spine: bool) -> Tuple[Tuple[Dyadic, State], ...]:
+    """One step from a live state: contract its redex, then refocus."""
+    n, head, args, up = s.binders, s.head, s.args, s.up
+    if type(head) is Lam:
+        return ((ONE, _refocus(n, substitute(head.body, args[0]), args[1:], up, spine)),)
     # branches equal modulo alpha collapse with probability 1
-    if choice.left == choice.right:
-        return ((ONE, form.plug(choice.left, args)),)
-    return ((HALF, form.plug(choice.left, args)), (HALF, form.plug(choice.right, args)))
+    if head.left == head.right:
+        return ((ONE, _refocus(n, head.left, args, up, spine)),)
+    return (
+        (HALF, _refocus(n, head.left, args, up, spine)),
+        (HALF, _refocus(n, head.right, args, up, spine)),
+    )
+
+
+def _as_term(s: State) -> Term:
+    if type(s) is not HeadForm:
+        return s
+    t = s.plug(s.head, s.args)
+    while s.up is not None:
+        s = s.up
+        t = s.plug(Lam(t), s.args)
+    return t
+
+
+def _step_view(t: Term, spine: bool) -> StepOutcome:
+    s = _decompose(t, spine)
+    if type(s) is not HeadForm:
+        return ((ONE, t),)
+    return tuple((p, _as_term(s2)) for p, s2 in _successor(s, spine))
 
 
 def head_step(t: Term) -> StepOutcome:
     """One step of head reduction; an hnf yields its self-loop."""
-    form = classify(t)
-    head, args = form.head, form.args
-    kind = type(head)
-    if kind is Lam:
-        return ((ONE, form.plug(substitute(head.body, args[0]), args[1:])),)
-    if kind is Choice:
-        return _choice_outcome(form)
-    return ((ONE, t),)
+    return _step_view(t, False)
 
 
 def spine_step(t: Term) -> StepOutcome:
     """One step of head spine reduction (body-first for stacked redexes)."""
-    form = classify(t)
-    head, args = form.head, form.args
-    kind = type(head)
-    if kind is Choice:
-        return _choice_outcome(form)
-    if kind is not Lam:
-        return ((ONE, t),)
-    body = head.body
-    if is_hnf(body):
-        return ((ONE, form.plug(substitute(body, args[0]), args[1:])),)
-    return tuple((p, form.plug(Lam(body2), args)) for p, body2 in spine_step(body))
-
-
-_STRATEGIES = {"head": head_step, "spine": spine_step}
-
-
-def _step_fn(strategy: str) -> Callable[[Term], StepOutcome]:
-    try:
-        return _STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+    return _step_view(t, True)
 
 
 def _run(
-    t: Term, steps: int, step: Callable[[Term], StepOutcome], cap: int
-) -> Tuple[Dict[Term, Dyadic], Dict[Term, Dyadic]]:
+    t: Term, steps: int, spine: bool, cap: int
+) -> Tuple[Dict[Term, Dyadic], Dict[HeadForm, Dyadic]]:
     """Iterate the absorbing chain, merging equal states.
 
-    Returns (absorbed hnf mass, live non-hnf mass) after `steps` steps.
+    Returns (absorbed hnf mass, live state mass) after `steps` steps.
     A step that leaves `live` unchanged absorbed nothing (every weight is
     positive and outcomes sum to one), so every later step repeats it:
     the loop stops there with the result the remaining steps would give.
     """
     absorbed: Dict[Term, Dyadic] = {}
-    live: Dict[Term, Dyadic] = {}
-    (absorbed if is_hnf(t) else live)[t] = ONE
+    live: Dict[HeadForm, Dyadic] = {}
+    s = _decompose(t, spine)
+    (live if type(s) is HeadForm else absorbed)[s] = ONE
     for _ in range(steps):
         if not live:
             break
-        nxt: Dict[Term, Dyadic] = {}
+        nxt: Dict[HeadForm, Dyadic] = {}
         for s, w in live.items():
-            for p, s2 in step(s):
-                target = absorbed if is_hnf(s2) else nxt
+            for p, s2 in _successor(s, spine):
+                target = nxt if type(s2) is HeadForm else absorbed
                 prev = target.get(s2)
                 target[s2] = prev + w * p if prev is not None else w * p
         if len(nxt) + len(absorbed) > cap:
-            raise ResourceCapExceeded(
-                f"reduction state count exceeded cap {cap}"
-            )
+            raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
         if nxt == live:
             break
         live = nxt
@@ -106,14 +147,21 @@ def _run(
 
 def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Distr:
     """Cumulative probability of having reached each hnf within n steps."""
-    absorbed, _ = _run(t, n, _step_fn(strategy), cap)
+    absorbed, _ = _run(t, n, _spine(strategy), cap)
     return Distr(absorbed.items())
 
 
-def _core(t: Term) -> Term:
-    while type(t) is Lam:
-        t = t.body
-    return t
+def _core(s: HeadForm) -> HeadForm:
+    """`s` with the binders of its outermost level stripped."""
+    frames = [s]
+    while frames[-1].up is not None:
+        frames.append(frames[-1].up)
+    if not frames[-1].binders:
+        return s
+    core = None
+    for f in reversed(frames):
+        core = HeadForm(0 if core is None else f.binders, f.head, f.args, core)
+    return core
 
 
 def converge(
@@ -125,8 +173,8 @@ def converge(
     stays finite (within the cap) and never touches an hnf, no residual
     mass can ever converge and the lower bound is exact.
     """
-    step = _step_fn(strategy)
-    absorbed, live = _run(t, steps, step, cap)
+    spine = _spine(strategy)
+    absorbed, live = _run(t, steps, spine, cap)
     lower = Distr(absorbed.items())
     # the closure is over cores, states with their leading binders
     # stripped: both strategies commute with λ, and λx.W is an hnf iff W
@@ -137,8 +185,8 @@ def converge(
     work = list(dict.fromkeys(_core(s) for s in live))
     seen = set(work)
     for s in work:
-        for _, s2 in step(s):
-            if is_hnf(s2):
+        for _, s2 in _successor(s, spine):
+            if type(s2) is not HeadForm:
                 return Approx(lower, False)
             s2 = _core(s2)
             if s2 not in seen:
@@ -157,17 +205,17 @@ def trace_tree(
     Hnfs are leaves (absorbing). Returns nested {prob, term, children}
     dictionaries with Dyadic probabilities.
     """
-    step = _step_fn(strategy)
+    spine = _spine(strategy)
     count = 0
 
-    def node(s: Term, p: Dyadic, depth: int) -> dict:
+    def node(s: State, p: Dyadic, depth: int) -> dict:
         nonlocal count
         count += 1
         if count > cap:
             raise ResourceCapExceeded(f"trace node count exceeded cap {cap}")
-        entry = {"prob": p, "term": s, "children": []}
-        if depth < steps and not is_hnf(s):
-            entry["children"] = [node(s2, q, depth + 1) for q, s2 in step(s)]
+        entry = {"prob": p, "term": _as_term(s), "children": []}
+        if depth < steps and type(s) is HeadForm:
+            entry["children"] = [node(s2, q, depth + 1) for q, s2 in _successor(s, spine)]
         return entry
 
-    return node(t, ONE, 0)
+    return node(_decompose(t, spine), ONE, 0)

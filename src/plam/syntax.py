@@ -223,14 +223,33 @@ class HeadForm:
     head makes an hnf, a `Choice` head a choice redex, and a `Lam` head a
     β-redex with `args[0]` its argument (then `args` is non-empty, since
     binder stripping was maximal).
+
+    `up` links the form into enclosing frames, each a `HeadForm` whose
+    head is the hole λ.[ ] (stored as None): the form sits in the body of
+    the frame's β-redex λᵏ.(λ.[ ]) N⃗. Forms compare and hash by all four
+    parts, so two forms are equal exactly when the terms they decompose
+    are, and frames are shared between the forms that reduction derives.
     """
 
-    __slots__ = ("binders", "head", "args")
+    __slots__ = ("binders", "head", "args", "up", "_hash")
 
-    def __init__(self, binders: int, head: Term, args: Tuple[Term, ...]):
+    def __init__(self, binders: int, head: Term | None, args: Tuple[Term, ...], up=None):
         self.binders = binders
         self.head = head
         self.args = args
+        self.up = up
+        self._hash = hash((binders, head, args, up))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is HeadForm
+            and self._hash == other._hash
+            and (self.binders, self.head, self.args, self.up)
+            == (other.binders, other.head, other.args, other.up)
+        )
 
     def plug(self, h: Term, args: Tuple[Term, ...]) -> Term:
         """λx₁…xₙ.h args, under this form's n binders."""

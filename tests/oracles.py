@@ -4,14 +4,64 @@ not part of the library."""
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from plam.prob import Dyadic, ONE
-from plam.smallstep import StepOutcome, head_step, spine_step
-from plam.syntax import ResourceCapExceeded, Term, is_hnf, size
+from plam import smallstep
+from plam.prob import Approx, Distr, Dyadic, HALF, ONE
+from plam.smallstep import StepOutcome
+from plam.syntax import (
+    Choice,
+    HeadForm,
+    Lam,
+    ResourceCapExceeded,
+    Term,
+    classify,
+    is_hnf,
+    size,
+    substitute,
+)
 
 
 def frac(d: Dyadic) -> Fraction:
     """The value of `d` as a `Fraction`."""
     return Fraction(d.num, 1 << d.exp)
+
+
+def _choice_outcome(form: HeadForm) -> StepOutcome:
+    choice, args = form.head, form.args
+    # branches equal modulo alpha collapse with probability 1
+    if choice.left == choice.right:
+        return ((ONE, form.plug(choice.left, args)),)
+    return ((HALF, form.plug(choice.left, args)), (HALF, form.plug(choice.right, args)))
+
+
+def head_step(t: Term) -> StepOutcome:
+    """Reference head step on terms: classify the whole term, contract, plug."""
+    form = classify(t)
+    head, args = form.head, form.args
+    kind = type(head)
+    if kind is Lam:
+        return ((ONE, form.plug(substitute(head.body, args[0]), args[1:])),)
+    if kind is Choice:
+        return _choice_outcome(form)
+    return ((ONE, t),)
+
+
+def spine_step(t: Term) -> StepOutcome:
+    """Reference spine step on terms, recursing from the root through every
+    stacked redex whose body is not an hnf."""
+    form = classify(t)
+    head, args = form.head, form.args
+    kind = type(head)
+    if kind is Choice:
+        return _choice_outcome(form)
+    if kind is not Lam:
+        return ((ONE, t),)
+    body = head.body
+    if is_hnf(body):
+        return ((ONE, form.plug(substitute(body, args[0]), args[1:])),)
+    return tuple((p, form.plug(Lam(body2), args)) for p, body2 in spine_step(body))
+
+
+STEPS = {"head": head_step, "spine": spine_step}
 
 
 def commute_witness(
@@ -24,7 +74,7 @@ def commute_witness(
     Returns None in place of a witness when the bound is exhausted.
     """
     results = []
-    for p, m2 in spine_step(m):
+    for p, m2 in smallstep.spine_step(m):
         limit = bound if bound is not None else max(size(m2), 4)
         # deterministic head chain from m2
         chain2 = [m2]
@@ -32,7 +82,7 @@ def commute_witness(
         for _ in range(limit):
             if is_hnf(cur):
                 break
-            out = head_step(cur)
+            out = smallstep.head_step(cur)
             if len(out) != 1:
                 break
             cur = out[0][1]
@@ -43,7 +93,7 @@ def commute_witness(
         for depth in range(1, limit + 2):
             nxt = set()
             for q, s in paths:
-                for pq, s2 in head_step(s):
+                for pq, s2 in smallstep.head_step(s):
                     nxt.add((q * pq, s2))
             paths = nxt
             n0 = depth - 1
@@ -62,8 +112,8 @@ def commute_witness(
 def run_every_step(
     t: Term, steps: int, step: Callable[[Term], StepOutcome], cap: int
 ) -> Tuple[Dict[Term, Dyadic], Dict[Term, Dyadic]]:
-    """The absorbing chain of `smallstep._run`, iterated for all `steps`
-    steps with no stop at a fixed point."""
+    """The absorbing chain of `smallstep._run` over terms, iterated for all
+    `steps` steps with no stop at a fixed point."""
     absorbed: Dict[Term, Dyadic] = {}
     live: Dict[Term, Dyadic] = {}
     (absorbed if is_hnf(t) else live)[t] = ONE
@@ -80,3 +130,33 @@ def run_every_step(
         if len(live) + len(absorbed) > cap:
             raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
     return absorbed, live
+
+
+def _core(t: Term) -> Term:
+    while type(t) is Lam:
+        t = t.body
+    return t
+
+
+def converge_every_step(
+    t: Term, steps: int, step: Callable[[Term], StepOutcome], cap: int
+) -> Approx:
+    """`smallstep.converge` over terms, on the chain of `run_every_step`:
+    the residual is certified divergent when the successor closure of its
+    cores (leading binders stripped) is finite within `cap` and holds no
+    hnf."""
+    absorbed, live = run_every_step(t, steps, step, cap)
+    lower = Distr(absorbed.items())
+    work = list(dict.fromkeys(_core(s) for s in live))
+    seen = set(work)
+    for s in work:
+        for _, s2 in step(s):
+            if is_hnf(s2):
+                return Approx(lower, False)
+            s2 = _core(s2)
+            if s2 not in seen:
+                seen.add(s2)
+                if len(seen) > cap:
+                    return Approx(lower, False)
+                work.append(s2)
+    return Approx(lower, True)

@@ -245,6 +245,37 @@ def test_malformed_problem_files_exit_one(tmp_path, capsys, text):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+def test_deeply_nested_problem_file_exits_one(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "assign", "--problem", str(problem))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "problem",
+    ({"p": ["1e-20000000"]}, {"p": ["1e-2000000"], "r": {"{1}": "1"}}),
+    ids=("demand", "demand-and-supply"),
+)
+def test_huge_exponent_exits_two_at_once(tmp_path, capsys, problem):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "assign", "--problem", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("resource cap exceeded: ") and len(err.strip().splitlines()) == 1
+
+
+def test_small_exponent_still_solves(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"p": ["1e-3"], "r": {"{1}": "1"}}), encoding="utf-8")
+    code, payload, _ = run_json(capsys, "assign", "--problem", str(path))
+    assert code == 0 and payload["feasible"]
+    assert payload["shares"] == [{"item": 1, "subset": [1], "share": "1/1000"}]
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
     | st.sampled_from(["1/2", "1", "0", "1/0", "{1}", "{1,2}"]),

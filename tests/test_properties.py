@@ -7,12 +7,10 @@ reproducible.
 
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plam import smallstep
 from plam.bigstep import eval_fuel
 from plam.equiv import Lab, TermState, refute_bisim, refute_sim, verify_witness
 from plam.gen import random_term
@@ -40,6 +38,7 @@ from plam.syntax import (
 )
 from plam.trees import Different, Equal, prob_tree, tree_eq
 
+import oracles
 from oracles import commute_witness, frac, run_every_step
 
 SETTINGS = dict(deadline=None)
@@ -399,12 +398,55 @@ def _converged(t, n, strategy):
     st.sampled_from(("head", "spine")),
 )
 def test_fixed_point_stop_matches_every_step(t, n, strategy):
-    step = smallstep._STRATEGIES[strategy]
+    step = oracles.STEPS[strategy]
     rows = _or_cap(lambda: step_n(t, n, strategy, cap=512))
     assert rows == _or_cap(lambda: Distr(run_every_step(t, n, step, 512)[0].items()))
-    converged = _or_cap(lambda: _converged(t, n, strategy))
-    with mock.patch.object(smallstep, "_run", run_every_step):
-        assert converged == _or_cap(lambda: _converged(t, n, strategy))
+    assert _or_cap(lambda: _converged(t, n, strategy)) == _or_cap(
+        lambda: _ref_converged(t, n, strategy)
+    )
+
+
+def _ref_converged(t, n, strategy):
+    res = oracles.converge_every_step(t, n, oracles.STEPS[strategy], 512)
+    return res.distr, res.exact
+
+
+def _reached(t, steps, limit=64):
+    """`t` and the terms the reference head and spine steps reach from it."""
+    seen = {t: None}
+    frontier = [t]
+    for _ in range(steps):
+        frontier = list(dict.fromkeys(
+            s2 for s in frontier for step in oracles.STEPS.values() for _, s2 in step(s)
+            if s2 not in seen
+        ))
+        seen.update(dict.fromkeys(frontier))
+        if len(seen) > limit:
+            break
+    return list(seen)[:limit]
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(
+    st.one_of(some_terms, index_open_terms, st.sampled_from(LOOPING_TERMS)),
+    st.integers(0, 24),
+    st.sampled_from(("head", "spine")),
+)
+def test_refocused_chain_matches_the_term_chain(t, n, strategy):
+    # the one-step views on every term the chain passes through
+    for s in _reached(t, 4):
+        assert head_step(s) == oracles.head_step(s)
+        assert spine_step(s) == oracles.spine_step(s)
+    step = oracles.STEPS[strategy]
+    rows = _or_cap(lambda: step_n(t, n, strategy, cap=512))
+    ref = _or_cap(lambda: Distr(run_every_step(t, n, step, 512)[0].items()))
+    assert rows == ref
+    if rows != "cap":
+        # the same hnfs in the same order, so outputs print the same
+        assert list(rows.items()) == list(ref.items())
+    assert _or_cap(lambda: _converged(t, n, strategy)) == _or_cap(
+        lambda: _ref_converged(t, n, strategy)
+    )
 
 
 @settings(max_examples=100, **SETTINGS)

@@ -10,7 +10,7 @@ from plam.smallstep import (
     step_n,
     trace_tree,
 )
-from plam.syntax import App, Choice, OMEGA, is_hnf, parse
+from plam.syntax import App, Choice, Free, Lam, OMEGA, is_hnf, parse
 
 from oracles import commute_witness
 
@@ -104,16 +104,17 @@ def test_converge_certifies_divergence():
 
 def test_converge_stops_at_the_fixed_point(monkeypatch):
     calls = []
+    successor = smallstep._successor
 
-    def counting(t):
-        calls.append(t)
-        return head_step(t)
+    def counting(s, spine):
+        calls.append(s)
+        return successor(s, spine)
 
-    monkeypatch.setitem(smallstep._STRATEGIES, "head", counting)
+    monkeypatch.setattr(smallstep, "_successor", counting)
     res = converge(OMEGA, 48)
     assert res.distr == Distr() and res.exact
     # one step finds Omega's self-loop, one more certifies it
-    assert len(calls) <= 2
+    assert 1 <= len(calls) <= 2
 
 
 def test_cap_is_checked_before_the_fixed_point_stop():
@@ -142,6 +143,41 @@ def test_converge_certifies_a_growing_binder_prefix():
     for strategy in ("head", "spine"):
         res = converge(t, 8, strategy, cap=16)
         assert res.exact and res.upper_mass == Dyadic(0)
+
+
+def _nodes_built_per_later_steps(monkeypatch, t, n):
+    """Lam/App/Choice nodes built by spine steps 2..n of `t`."""
+    count = [0]
+    for cls in (Lam, App, Choice):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init):
+            count[0] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    step_n(t, 1, "spine")
+    first = count[0]
+    step_n(t, n, "spine")
+    monkeypatch.undo()
+    return count[0] - 2 * first
+
+
+def test_spine_steps_do_not_rebuild_the_enclosing_redexes(monkeypatch):
+    # (\x1.(\x2.…(\xk.R) a…) a) a, where R = W W with W = \x.x x y never
+    # reaches an hnf and grows its argument spine by one each step, so no
+    # step is a fixed point
+    inner = parse(r"(\x.x x y) (\x.x x y)")
+
+    def nested(k):
+        t = inner
+        for _ in range(k):
+            t = App(Lam(t), Free("a"))
+        return t
+
+    shallow = _nodes_built_per_later_steps(monkeypatch, nested(5), 30)
+    deep = _nodes_built_per_later_steps(monkeypatch, nested(60), 30)
+    assert shallow == deep > 0
 
 
 def test_trace_tree_shape():
