@@ -42,6 +42,7 @@ MAX_LEVEL = 8
 MAX_DEPTH = 16
 MAX_SEQUENCES = 1000  # argument sequences of one `appcmp` call
 MAX_EXPONENT = 1000  # decimal exponent of a number in a problem file
+MAX_CASES = 10_000  # random terms of one `proptest` call
 
 _DEPTH_LETTERS = ["x", "z", "w", "v", "u"]
 DEFAULT_POOL = ",".join(DEFAULT_POOL_NAMES)
@@ -480,6 +481,7 @@ def _check_caps(args) -> None:
         ("tree_level", MAX_LEVEL),
         ("maxlen", MAX_DEPTH),
         ("cap", DEFAULT_LEAF_CAP),
+        ("cases", MAX_CASES),
     ]
     for name, cap in checks:
         value = getattr(args, name, None)

@@ -158,7 +158,11 @@ def fx_tree_level2() -> Tuple[bool, str]:
     child = applied.args[0]
     ok = ok and len(child.entries) == 1 and child.entries[0][0].head == "y"
     ok = ok and child.entries[0][1] == ONE and child.deficit == ZERO
-    return ok, f"got {pt.entries!r}"
+    # the two entries, each value tree shown with the level its tree holds
+    shown = ", ".join(
+        f"(VT(l{pt.level} {vt.head} d{vt.offset} args{len(vt.args)}), {w!r})" for vt, w in pt.entries
+    )
+    return ok, f"got ({shown})"
 
 
 def fx_tree_eta_pairs() -> Tuple[bool, str]:

@@ -100,9 +100,10 @@ ONE = Dyadic(1)
 
 
 class Distr:
-    """A finite subprobability distribution over terms, weights exactly dyadic.
+    """A finite subprobability distribution, weights exactly dyadic.
 
-    Keys are nameless terms, so key identity is alpha-equivalence. Immutable;
+    Keys are nameless terms, so key identity is alpha-equivalence, or the
+    value trees of `plam.trees`, compared by their canonical key. Immutable;
     all operations build fresh distributions.
     """
 

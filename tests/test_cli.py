@@ -411,8 +411,9 @@ def test_assign_text_is_pinned(tmp_path, capsys, problem, expected):
         (["appcmp", "I", "I", "--maxlen", "1000000000", "--pool", "I"], "--maxlen"),
         (["trace", r"(\x.x x (+) x x x) (\x.x x (+) x x x)", "--steps", "60",
           "--cap", "65537"], "--cap"),
+        (["proptest", "--cases", "1000000000"], "--cases"),
     ),
-    ids=("level", "tree-level", "maxlen-6", "maxlen-7", "maxlen-huge", "cap"),
+    ids=("level", "tree-level", "maxlen-6", "maxlen-7", "maxlen-huge", "cap", "cases"),
 )
 def test_over_cap_flags_exit_two_at_once(capsys, argv, flag):
     start = time.monotonic()
@@ -428,6 +429,41 @@ def test_appcmp_sequence_cap_boundary(capsys):
     assert code == 0 and len(payload["sequences"]) == 781
     code, out, err = run(capsys, "appcmp", "I", "I", "--maxlen", "-1")
     assert (code, out) == (1, "") and "--maxlen must be non-negative" in err
+
+
+def test_proptest_cases_cap_boundary(capsys):
+    code, payload, _ = run_json(capsys, "proptest", "--cases", "200")
+    assert code == 0 and payload["cases"] == 200
+    code, out, err = run(capsys, "proptest", "--cases", "-1")
+    assert (code, out) == (1, "") and "--cases must be non-negative" in err
+
+
+# renderer paths no other test reaches, pinned in both formats
+RENDER_GOLDEN = {
+    "bound-head": (
+        ["tree", r"\x y.x", "--level", "2"],
+        {"level": 2, "deficit": "0", "support": [{"weight": "1", "tree": {
+            "binders": 2, "head": "x1", "offset": 2, "args": []}}]},
+        "level 2 tree, deficit 0\n  1 -> λ(2+)...x1 [offset 2]\n",
+    ),
+    "bottom-tree": (
+        ["tree", "Omega", "--level", "2"],
+        {"level": 2, "deficit": "1", "support": []},
+        "level 2 tree, deficit 1\n  bottom\n",
+    ),
+    "inconclusive-game": (
+        ["bisim", "I", "I"],
+        {"verdict": "inconclusive", "trace": None},
+        "inconclusive (no certified difference at these bounds)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RENDER_GOLDEN)
+def test_rarely_reached_renderers_are_pinned(capsys, name):
+    argv, payload, text = RENDER_GOLDEN[name]
+    assert run_json(capsys, *argv) == (0, payload, "")
+    assert run(capsys, *argv, "--format", "text") == (0, text, "")
 
 
 def test_entry_point_script():

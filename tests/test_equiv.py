@@ -212,6 +212,52 @@ def test_forged_sim_witness_dropping_the_block_itself_rejected():
     assert not verify_witness(TermState(I), TermState(I), forged, Lab(fuel=6), bisim=False)
 
 
+def test_forged_bisim_witness_with_overlapping_intervals_rejected():
+    # I and I I both converge to I: the block intervals replay but overlap
+    u, v = TermState(I), TermState(App(I, I))
+    lab = Lab(fuel=6)
+    block = (HnfState(Var(0)),)
+    du, dv = lab.trans(u, TAU), lab.trans(v, TAU)
+    left, right = (du.lower(block), du.upper(block)), (dv.lower(block), dv.upper(block))
+    assert left == right == (ONE, ONE)
+    forged = Witness(TAU, block, left, right, {})
+    assert not verify_witness(u, v, forged, lab, bisim=True)
+
+
+def test_sim_witness_with_an_edited_right_upper_bound_rejected():
+    lab = Lab(fuel=6, pool=(I,))
+    w = refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
+    assert verify_witness(TermState(M48), TermState(N48), w, lab, bisim=False)
+    # a lower right bound still separates, so only the replay rejects it
+    assert w.right[1] > ZERO and w.left[0] > ZERO
+    bad = Witness(w.label, w.block, w.left, (w.right[0], ZERO), w.sub, image=w.image)
+    assert not verify_witness(TermState(M48), TermState(N48), bad, lab, bisim=False)
+
+
+def test_forged_sim_witness_whose_true_claims_do_not_separate_rejected():
+    u = TermState(I)
+    lab = Lab(fuel=6)
+    block = (HnfState(Var(0)),)
+    d = lab.trans(u, TAU)
+    forged = Witness(
+        TAU, block, (d.lower(block), d.upper(block)), (d.lower(block), d.upper(block)), {},
+        image=block,
+    )
+    assert not verify_witness(u, u, forged, lab, bisim=False)
+
+
+def test_sim_over_nine_left_states_falls_back_to_the_whole_support():
+    # more than 8 left states: singletons and the whole support are tried
+    hnfs = [r"\x.x", r"\x y.x", r"\x y.y", r"\x y z.x", r"\x y z.y", r"\x y z.z",
+            r"\x y z u.x", r"\x y z u.y", r"\x y z u.z"]
+    m = parse(" (+) ".join(f"({h})" for h in hnfs))
+    n = parse(" (+) ".join(f"({h})" for h in hnfs[:8] + [r"\x y z u.Omega"]))
+    w = refute_sim(m, n, depth=3, fuel=8)
+    assert len(w.block) == 9
+    assert (w.left[0], w.right[1]) == (ONE, D("255/256"))
+    assert verify_witness(TermState(m), TermState(n), w, Lab(fuel=8), bisim=False)
+
+
 def test_applicative_compare_separation():
     reports = applicative_compare(M24, N24, [(OMEGA, I, DELTA)], fuel=8)
     r = reports[0]

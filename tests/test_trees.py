@@ -148,3 +148,24 @@ def test_missing_mass_blocks_single_pair_shortcut():
     assert not isinstance(tree_eq(prob_tree(a, 1, 1), prob_tree(b, 1, 1)), Different)
     assert isinstance(tree_eq(prob_tree(a, 1, 2), prob_tree(b, 1, 2)), Equal)
     assert refute_bisim(lam_close(a), lam_close(b), fuel=1, tree_level=1) is None
+
+
+def _verdict(a, b, level, fuel):
+    return repr(tree_eq(prob_tree(parse(a), level, fuel), prob_tree(parse(b), level, fuel)))
+
+
+def test_possible_mass_sums_keys_not_certainly_different():
+    # the child of \x.y Omega is bottom, so y may still equal it: its weight
+    # counts towards what the right side could place on y
+    assert _verdict("y", r"\x.y Omega", 2, 2) == "Unknown(bound=1)"
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    (
+        ("y Omega (+) y I", "y (+) Omega", "Different(path=[], left=0, right=1/2)"),
+        ("y (z (+) y)", "y (Omega (+) I)", "Different(path=[1], left=0, right=1/2)"),
+    ),
+)
+def test_second_tree_outweighing_the_first_is_certified(a, b, expected):
+    assert _verdict(a, b, 2, 8) == expected
