@@ -7,6 +7,12 @@ variables, abstraction bodies, and choice branches are free. Budget 0
 forces the give-up rule, contributing missing mass instead of an error.
 The result is the largest distribution derivable under that policy, and
 is monotone in the fuel.
+
+Each call keeps two tables, both keyed by α-equivalence (equality of
+nameless terms) and dropped when it returns: a memo from (term, fuel) to
+its distribution, and a contraction table from a β-redex (λ.b, a) to
+b[a]. Recursion through a fixed point combinator contracts the same
+redexes at every fuel it reaches them with; each is substituted once.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from .prob import Approx, Distr, HALF, point
 from .syntax import App, Choice, Free, Lam, Term, Var, substitute
 
 
-def _eval(term: Term, fuel: int, memo: dict) -> Distr:
+def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> Distr:
     # the memo lookup stays inline: one Python frame per term level
     key = (term, fuel)
     out = memo.get(key)
@@ -24,12 +30,12 @@ def _eval(term: Term, fuel: int, memo: dict) -> Distr:
     if isinstance(term, (Var, Free)):
         out = point(term)
     elif isinstance(term, Lam):
-        out = _eval(term.body, fuel, memo).map_support(Lam)
+        out = _eval(term.body, fuel, memo, beta).map_support(Lam)
     elif isinstance(term, Choice):
         # both halves' halved pairs go into one Distr, for the same reason
         # as in the application rule below
-        pairs = [(h, w * HALF) for h, w in _eval(term.left, fuel, memo).items()]
-        pairs.extend((h, w * HALF) for h, w in _eval(term.right, fuel, memo).items())
+        pairs = [(h, w * HALF) for h, w in _eval(term.left, fuel, memo, beta).items()]
+        pairs.extend((h, w * HALF) for h, w in _eval(term.right, fuel, memo, beta).items())
         out = Distr(pairs)
     else:
         # application: evaluate the function part, then dispatch on its
@@ -37,11 +43,14 @@ def _eval(term: Term, fuel: int, memo: dict) -> Distr:
         # summing Distrs branch by branch re-merges the whole support on
         # every branch
         pairs = []
-        for h, w in _eval(term.fun, fuel, memo).items():
+        for h, w in _eval(term.fun, fuel, memo, beta).items():
             if isinstance(h, Lam):
                 if fuel > 0:
-                    body = substitute(h.body, term.arg)
-                    pairs.extend((h2, v * w) for h2, v in _eval(body, fuel - 1, memo).items())
+                    redex = (h, term.arg)
+                    body = beta.get(redex)
+                    if body is None:
+                        body = beta[redex] = substitute(h.body, term.arg)
+                    pairs.extend((h2, v * w) for h2, v in _eval(body, fuel - 1, memo, beta).items())
             else:
                 pairs.append((App(h, term.arg), w))
         out = Distr(pairs)
@@ -52,11 +61,11 @@ def _eval(term: Term, fuel: int, memo: dict) -> Distr:
 def eval_fuel(term: Term, fuel: int) -> Approx:
     """Evaluate `term` with the given fuel budget.
 
-    Subterm results are shared through a memo that lives for this call
-    only. The bound is exact when its deficit is zero: a lower bound of
-    mass 1 is the limit.
+    Subterm results and β-contractions are shared through tables that
+    live for this call only. The bound is exact when its deficit is zero:
+    a lower bound of mass 1 is the limit.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    distr = _eval(term, fuel, {})
+    distr = _eval(term, fuel, {}, {})
     return Approx(distr, not distr.deficit)

@@ -11,6 +11,12 @@ head reduction is the frameless case. An hnf leaves the chain as a
 plain term. Equal states decompose equal terms, so the exact n-step
 tables merge alpha-equivalent states. `head_step`, `spine_step` and
 `trace_tree` are term views of the one successor function.
+
+Each public call owns one contraction table, from a β-redex (λ.b, a) to
+b[a], keyed by alpha-equivalence and dropped when the call returns, so a
+redex that the chain meets again (every round of a recursion through
+`Theta`) is substituted once; `converge` shares its table between the
+chain and the certification closure, which re-steps the chain's states.
 """
 
 from __future__ import annotations
@@ -73,11 +79,18 @@ def _decompose(t: Term, spine: bool) -> State:
     return t if is_hnf(t) else _refocus(0, t, (), None, spine)
 
 
-def _successor(s: HeadForm, spine: bool) -> Tuple[Tuple[Dyadic, State], ...]:
-    """One step from a live state: contract its redex, then refocus."""
+def _successor(s: HeadForm, spine: bool, beta: dict) -> Tuple[Tuple[Dyadic, State], ...]:
+    """One step from a live state: contract its redex, then refocus.
+
+    `beta` is the caller's contraction table, from a β-redex (λ.b, a) to b[a].
+    """
     n, head, args, up = s.binders, s.head, s.args, s.up
     if type(head) is Lam:
-        return ((ONE, _refocus(n, substitute(head.body, args[0]), args[1:], up, spine)),)
+        redex = (head, args[0])
+        body = beta.get(redex)
+        if body is None:
+            body = beta[redex] = substitute(head.body, args[0])
+        return ((ONE, _refocus(n, body, args[1:], up, spine)),)
     # branches equal modulo alpha collapse with probability 1
     if head.left == head.right:
         return ((ONE, _refocus(n, head.left, args, up, spine)),)
@@ -101,7 +114,7 @@ def _step_view(t: Term, spine: bool) -> StepOutcome:
     s = _decompose(t, spine)
     if type(s) is not HeadForm:
         return ((ONE, t),)
-    return tuple((p, _as_term(s2)) for p, s2 in _successor(s, spine))
+    return tuple((p, _as_term(s2)) for p, s2 in _successor(s, spine, {}))
 
 
 def head_step(t: Term) -> StepOutcome:
@@ -115,7 +128,7 @@ def spine_step(t: Term) -> StepOutcome:
 
 
 def _run(
-    t: Term, steps: int, spine: bool, cap: int
+    t: Term, steps: int, spine: bool, cap: int, beta: dict
 ) -> Tuple[Dict[Term, Dyadic], Dict[HeadForm, Dyadic]]:
     """Iterate the absorbing chain, merging equal states.
 
@@ -133,7 +146,7 @@ def _run(
             break
         nxt: Dict[HeadForm, Dyadic] = {}
         for s, w in live.items():
-            for p, s2 in _successor(s, spine):
+            for p, s2 in _successor(s, spine, beta):
                 target = nxt if type(s2) is HeadForm else absorbed
                 prev = target.get(s2)
                 target[s2] = prev + w * p if prev is not None else w * p
@@ -147,7 +160,7 @@ def _run(
 
 def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Distr:
     """Cumulative probability of having reached each hnf within n steps."""
-    absorbed, _ = _run(t, n, _spine(strategy), cap)
+    absorbed, _ = _run(t, n, _spine(strategy), cap, {})
     return Distr(absorbed.items())
 
 
@@ -174,7 +187,10 @@ def converge(
     mass can ever converge and the lower bound is exact.
     """
     spine = _spine(strategy)
-    absorbed, live = _run(t, steps, spine, cap)
+    # the closure re-steps states that the chain just stepped, so both
+    # share one contraction table
+    beta: dict = {}
+    absorbed, live = _run(t, steps, spine, cap, beta)
     lower = Distr(absorbed.items())
     # the closure is over cores, states with their leading binders
     # stripped: both strategies commute with λ, and λx.W is an hnf iff W
@@ -185,7 +201,7 @@ def converge(
     work = list(dict.fromkeys(_core(s) for s in live))
     seen = set(work)
     for s in work:
-        for _, s2 in _successor(s, spine):
+        for _, s2 in _successor(s, spine, beta):
             if type(s2) is not HeadForm:
                 return Approx(lower, False)
             s2 = _core(s2)
@@ -206,6 +222,7 @@ def trace_tree(
     dictionaries with Dyadic probabilities.
     """
     spine = _spine(strategy)
+    beta: dict = {}
     count = 0
 
     def node(s: State, p: Dyadic, depth: int) -> dict:
@@ -215,7 +232,7 @@ def trace_tree(
             raise ResourceCapExceeded(f"trace node count exceeded cap {cap}")
         entry = {"prob": p, "term": _as_term(s), "children": []}
         if depth < steps and type(s) is HeadForm:
-            entry["children"] = [node(s2, q, depth + 1) for q, s2 in _successor(s, spine)]
+            entry["children"] = [node(s2, q, depth + 1) for q, s2 in _successor(s, spine, beta)]
         return entry
 
     return node(_decompose(t, spine), ONE, 0)

@@ -212,6 +212,11 @@ def _cmp_vt(a: ValueTree, b: ValueTree, level: int, path: Tuple[int, ...]):
 
 
 def _cmp_pt(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
+    if a == b:
+        # equal keys are never certified different; every weight is
+        # positive, so a zero uncertainty means no hidden mass
+        u = _uncertainty(a)
+        return Unknown(a.deficit + b.deficit or u + u) if u else Equal()
     # descend through a unique pair for a precise path; only when both
     # have weight 1, since missing mass may still reach either key
     if len(a.entries) == 1 == len(b.entries) and a.entries[0][1] == b.entries[0][1] == ONE:
@@ -232,9 +237,6 @@ def _cmp_pt(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
                     possible = possible + w2
             if w > possible:
                 return Different(path, w, have) if first is a else Different(path, have, w)
-    # every weight is positive, so a zero uncertainty means no hidden mass
-    if a == b and not _uncertainty(a):
-        return Equal()
     bound = a.deficit + b.deficit
     if not bound:
         bound = _uncertainty(a) + _uncertainty(b)

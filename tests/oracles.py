@@ -5,14 +5,17 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from plam import smallstep
-from plam.prob import Approx, Distr, Dyadic, HALF, ONE
+from plam.prob import Approx, Distr, Dyadic, HALF, ONE, point
 from plam.smallstep import StepOutcome
 from plam.syntax import (
+    App,
     Choice,
+    Free,
     HeadForm,
     Lam,
     ResourceCapExceeded,
     Term,
+    Var,
     classify,
     is_hnf,
     size,
@@ -23,6 +26,27 @@ from plam.syntax import (
 def frac(d: Dyadic) -> Fraction:
     """The value of `d` as a `Fraction`."""
     return Fraction(d.num, 1 << d.exp)
+
+
+def eval_fuel(t: Term, fuel: int) -> Distr:
+    """Reference big-step evaluation: the rules of `plam.bigstep`, one
+    case each, with no memo and no contraction table."""
+    if isinstance(t, (Var, Free)):
+        return point(t)
+    if isinstance(t, Lam):
+        return eval_fuel(t.body, fuel).map_support(Lam)
+    if isinstance(t, Choice):
+        return Distr(
+            (h, w * HALF) for side in (t.left, t.right) for h, w in eval_fuel(side, fuel).items()
+        )
+    pairs = []
+    for h, w in eval_fuel(t.fun, fuel).items():
+        if not isinstance(h, Lam):
+            pairs.append((App(h, t.arg), w))
+        elif fuel > 0:
+            body = substitute(h.body, t.arg)
+            pairs.extend((h2, w * v) for h2, v in eval_fuel(body, fuel - 1).items())
+    return Distr(pairs)
 
 
 def _choice_outcome(form: HeadForm) -> StepOutcome:

@@ -110,6 +110,26 @@ def test_fuel_monotonicity(t, f):
     assert eval_fuel(t, f).distr.leq(eval_fuel(t, f + 1).distr)
 
 
+# the walk and the branching walk: recursion through Theta contracts the
+# same redexes round after round
+WALKS = (
+    parse(r"Theta (\f x.f (s x)) z"),
+    parse(r"Theta (\f x.x (+) (f (a x) (+) f (b x))) z"),
+)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(
+    st.one_of(
+        st.tuples(any_terms, st.integers(0, 6)),
+        st.tuples(st.sampled_from(WALKS), st.integers(0, 16)),
+    )
+)
+def test_eval_fuel_matches_the_memo_free_reference(case):
+    t, f = case
+    assert eval_fuel(t, f).distr == oracles.eval_fuel(t, f)
+
+
 @settings(max_examples=200, **SETTINGS)
 @given(any_terms)
 def test_step_outcomes_are_stochastic(t):

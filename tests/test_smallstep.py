@@ -1,6 +1,7 @@
 import pytest
 
-from plam import smallstep
+from plam import bigstep, smallstep
+from plam.bigstep import eval_fuel
 from plam.prob import Distr, Dyadic, ONE
 from plam.smallstep import (
     ResourceCapExceeded,
@@ -106,9 +107,9 @@ def test_converge_stops_at_the_fixed_point(monkeypatch):
     calls = []
     successor = smallstep._successor
 
-    def counting(s, spine):
+    def counting(s, *rest):
         calls.append(s)
-        return successor(s, spine)
+        return successor(s, *rest)
 
     monkeypatch.setattr(smallstep, "_successor", counting)
     res = converge(OMEGA, 48)
@@ -164,10 +165,10 @@ def _nodes_built_per_later_steps(monkeypatch, t, n):
 
 
 def test_spine_steps_do_not_rebuild_the_enclosing_redexes(monkeypatch):
-    # (\x1.(\x2.…(\xk.R) a…) a) a, where R = W W with W = \x.x x y never
-    # reaches an hnf and grows its argument spine by one each step, so no
-    # step is a fixed point
-    inner = parse(r"(\x.x x y) (\x.x x y)")
+    # (\x1.(\x2.…(\xk.R) a…) a) a, where the walk R = Theta (\f x.f (s x)) z
+    # never reaches an hnf, so no step is a fixed point; its first rounds
+    # make contractions the table has not seen, so steps 2..n build nodes
+    inner = parse(r"Theta (\f x.f (s x)) z")
 
     def nested(k):
         t = inner
@@ -178,6 +179,51 @@ def test_spine_steps_do_not_rebuild_the_enclosing_redexes(monkeypatch):
     shallow = _nodes_built_per_later_steps(monkeypatch, nested(5), 30)
     deep = _nodes_built_per_later_steps(monkeypatch, nested(60), 30)
     assert shallow == deep > 0
+
+
+BRANCHING_WALK = r"Theta (\f x.x (+) (f (a x) (+) f (b x))) z"
+
+
+def _substitute_calls(monkeypatch, module, run):
+    """The number of `substitute` calls `module` makes during `run()`."""
+    calls = [0]
+    substitute = module.substitute
+
+    def counting(body, arg):
+        calls[0] += 1
+        return substitute(body, arg)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "substitute", counting)
+        run()
+    return calls[0]
+
+
+def test_contraction_tables_do_not_outlive_their_call(monkeypatch):
+    t = parse(BRANCHING_WALK)
+    for module, run in (
+        (smallstep, lambda: step_n(t, 64, "head")),
+        (bigstep, lambda: eval_fuel(t, 24)),
+    ):
+        first = _substitute_calls(monkeypatch, module, run)
+        assert _substitute_calls(monkeypatch, module, run) == first > 0
+
+
+def test_head_chain_contracts_each_redex_once(monkeypatch):
+    # every round of the walk contracts Theta's halves and the step
+    # function again; only the contraction that feeds in the new argument
+    # is one the table has not seen
+    t = parse(BRANCHING_WALK)
+    beta_steps = [0]
+    successor = smallstep._successor
+
+    def counting(s, *rest):
+        beta_steps[0] += type(s.head) is Lam
+        return successor(s, *rest)
+
+    monkeypatch.setattr(smallstep, "_successor", counting)
+    calls = _substitute_calls(monkeypatch, smallstep, lambda: step_n(t, 64, "head"))
+    assert 0 < calls < beta_steps[0]
 
 
 def test_trace_tree_shape():

@@ -1,7 +1,7 @@
 import pytest
 
 from plam.equiv import refute_bisim
-from plam.fixtures import M24, N24, THETA_Y
+from plam.fixtures import M24, MM, N24, THETA_Y
 from plam.prob import Dyadic, ONE, ZERO
 from plam.syntax import App, lam_close, parse
 from plam.trees import (
@@ -131,6 +131,22 @@ def test_equal_requires_no_hidden_mass():
     a = prob_tree(parse(r"\x.y Omega"), 2, 6)
     v = tree_eq(a, a)
     assert not isinstance(v, Equal)
+
+
+@pytest.mark.parametrize(
+    "term, level, fuel, expected",
+    (
+        (parse(r"\x.y Omega"), 2, 6, "Unknown(bound=2)"),
+        (MM, 2, 6, "Unknown(bound=1/32)"),
+        (parse("y (z (+) Omega)"), 3, 4, "Unknown(bound=1)"),
+        (parse("I"), 3, 4, "Equal"),
+        (parse(r"Theta (\f x.x (+) (f (a x) (+) f (b x))) z"), 6, 14, "Unknown(bound=1/64)"),
+    ),
+)
+def test_equal_trees_built_apart_keep_their_verdict(term, level, fuel, expected):
+    a, b = prob_tree(term, level, fuel), prob_tree(term, level, fuel)
+    assert a is not b and a == b
+    assert repr(tree_eq(a, b)) == expected
 
 
 def test_monotonicity_example():
