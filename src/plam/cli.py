@@ -44,7 +44,6 @@ MAX_SEQUENCES = 1000  # argument sequences of one `appcmp` call
 MAX_EXPONENT = 1000  # decimal exponent of a number in a problem file
 MAX_CASES = 10_000  # random terms of one `proptest` call
 
-_DEPTH_LETTERS = ["x", "z", "w", "v", "u"]
 DEFAULT_POOL = ",".join(DEFAULT_POOL_NAMES)
 
 # exit code, JSON payload, and the text renderer of that payload
@@ -80,14 +79,6 @@ def _distr_text(d: dict) -> str:
     return "\n".join(f"  {e['prob']}\t{e['term']}" for e in d["support"])
 
 
-def _head_text(head: str) -> str:
-    if head.startswith("@"):
-        depth_s, pos_s = head[1:].split(".")
-        letter = _DEPTH_LETTERS[int(depth_s) % len(_DEPTH_LETTERS)]
-        return f"{letter}{pos_s}"
-    return head
-
-
 def _pt_json(pt: ProbTree) -> dict:
     return {
         "level": pt.level,
@@ -97,7 +88,7 @@ def _pt_json(pt: ProbTree) -> dict:
                 "weight": str(w),
                 "tree": {
                     "binders": vt.binders,
-                    "head": _head_text(vt.head),
+                    "head": vt.head,
                     "offset": vt.offset,
                     "args": [_pt_json(a) for a in vt.args],
                 },
@@ -518,6 +509,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RecursionError:
         # a term built during the run nests deeper than the interpreter stack
         print("resource cap exceeded: term nested too deeply to process", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,8 +1,11 @@
 """Level-indexed probabilistic trees of head normal forms with infinite
 η-expansion, in a finite canonical representation.
 
-A probabilistic tree is a level plus a `prob.Distr` over value trees; its
-deficit is the mass the distribution leaves out. A value tree of level
+A probabilistic tree is a level plus a `prob.Approx` over value trees: a
+lower bound on the tree of the limit distribution, and whether that bound
+is exact. Its deficit is the mass the bound leaves out, zero when exact;
+its uncertainty adds the children's, weighted, and bounds the mass that
+may still move anywhere in the tree. A value tree of level
 ℓ ≥ 1 abstracts an hnf λx₁…xₙ.y M₁…Mₘ as a head reference plus level-(ℓ−1)
 child trees. The infinite binder sequence and the infinite tail of
 η-children are never materialized: a node stores the offset n−m together
@@ -24,7 +27,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .bigstep import eval_fuel
-from .prob import Distr, Dyadic, ONE, point
+from .prob import Approx, Distr, Dyadic, ONE, ZERO, point
 from .syntax import Free, Term, Var, classify, reindex
 
 
@@ -71,33 +74,41 @@ class ValueTree(_Keyed):
 
 
 class ProbTree(_Keyed):
-    """A level plus a `Distr` over value trees; `entries` lists it in key order."""
+    """A level plus a `prob.Approx` over value trees; `entries` lists its
+    bound in key order. `uncertainty` is computed once, from the children's."""
 
-    __slots__ = ("level", "distr", "entries")
+    __slots__ = ("level", "approx", "entries", "uncertainty")
 
-    def __init__(self, level: int, distr: Distr):
+    def __init__(self, level: int, approx: Approx):
         self.level = level
-        self.distr = distr
-        self.entries = tuple(sorted(distr.items(), key=lambda kv: kv[0].key))
+        self.approx = approx
+        self.entries = tuple(sorted(approx.distr.items(), key=lambda kv: kv[0].key))
         self._set_key((level, tuple((vt.key, (w.num, w.exp)) for vt, w in self.entries)))
+        # zero terms are skipped, so an exact subtree costs no arithmetic
+        u = self.deficit
+        for vt, w in self.entries:
+            for child in vt.args:
+                if child.uncertainty:
+                    u = u + w * child.uncertainty
+        self.uncertainty = u
 
     @property
     def deficit(self) -> Dyadic:
-        return self.distr.deficit
+        return ZERO if self.approx.exact else self.approx.deficit
 
     def __repr__(self):
         return f"PT(l{self.level} {len(self.entries)} keys deficit={self.deficit})"
 
 
 def bottom() -> ProbTree:
-    return ProbTree(0, Distr())
+    return ProbTree(0, Approx(Distr(), False))
 
 
 def eta_tree(name: str, level: int, depth: int = 0) -> ProbTree:
     """The level-ℓ tree of the bare variable `name` at a given node depth."""
     if level == 0:
         return bottom()
-    return ProbTree(level, point(ValueTree(depth, name, 0, ())))
+    return ProbTree(level, Approx(point(ValueTree(depth, name, 0, ())), True))
 
 
 def _open_binders(t: Term, n: int, depth: int) -> Term:
@@ -144,8 +155,9 @@ def prob_tree(m: Term, level: int, fuel: int, depth: int = 0) -> ProbTree:
     """Group the fuel approximant of m by value tree at the given level."""
     if level == 0:
         return bottom()
-    distr = eval_fuel(m, fuel).distr
-    return ProbTree(level, distr.map_support(lambda h: value_tree(h, level, fuel, depth)))
+    res = eval_fuel(m, fuel)
+    trees = res.distr.map_support(lambda h: value_tree(h, level, fuel, depth))
+    return ProbTree(level, Approx(trees, res.exact))
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +191,6 @@ class Unknown:
         return f"Unknown(bound={self.bound})"
 
 
-def _uncertainty(pt: ProbTree) -> Dyadic:
-    total = pt.deficit
-    for vt, w in pt.entries:
-        for child in vt.args:
-            total = total + w * _uncertainty(child)
-    return total
-
-
 def _child(vt: ValueTree, j: int, level: int) -> ProbTree:
     """The j-th child of vt, an η-tree past its explicit child list."""
     if j <= len(vt.args):
@@ -212,11 +216,11 @@ def _cmp_vt(a: ValueTree, b: ValueTree, level: int, path: Tuple[int, ...]):
 
 
 def _cmp_pt(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
+    bound = a.deficit + b.deficit or a.uncertainty + b.uncertainty
     if a == b:
         # equal keys are never certified different; every weight is
-        # positive, so a zero uncertainty means no hidden mass
-        u = _uncertainty(a)
-        return Unknown(a.deficit + b.deficit or u + u) if u else Equal()
+        # positive, so a zero bound means no hidden mass
+        return Unknown(bound) if bound else Equal()
     # descend through a unique pair for a precise path; only when both
     # have weight 1, since missing mass may still reach either key
     if len(a.entries) == 1 == len(b.entries) and a.entries[0][1] == b.entries[0][1] == ONE:
@@ -226,20 +230,14 @@ def _cmp_pt(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
     # certified weight difference: mass on a key exceeds everything the
     # other side could possibly place on trees equal to it
     for first, second in ((a, b), (b, a)):
-        missing = second.deficit
         for k, w in first.entries:
-            have = second.distr.weight(k)
-            possible = have + missing
-            for k2, w2 in second.entries:
-                if k2 == k:
-                    continue
-                if not isinstance(_cmp_vt(k, k2, a.level, path), Different):
-                    possible = possible + w2
-            if w > possible:
+            near = [
+                k2 for k2, _ in second.entries
+                if k2 == k or not isinstance(_cmp_vt(k, k2, a.level, path), Different)
+            ]
+            if w > second.approx.upper(near):
+                have = second.approx.lower((k,))
                 return Different(path, w, have) if first is a else Different(path, have, w)
-    bound = a.deficit + b.deficit
-    if not bound:
-        bound = _uncertainty(a) + _uncertainty(b)
     return Unknown(bound)
 
 

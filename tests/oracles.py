@@ -28,6 +28,16 @@ def frac(d: Dyadic) -> Fraction:
     return Fraction(d.num, 1 << d.exp)
 
 
+def uncertainty(pt) -> Dyadic:
+    """Reference for `ProbTree.uncertainty`: the deficit plus each child's
+    uncertainty weighted by its entry, recomputed over the whole subtree."""
+    total = pt.deficit
+    for vt, w in pt.entries:
+        for child in vt.args:
+            total = total + w * uncertainty(child)
+    return total
+
+
 def eval_fuel(t: Term, fuel: int) -> Distr:
     """Reference big-step evaluation: the rules of `plam.bigstep`, one
     case each, with no memo and no contraction table."""

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from plam.assign import (
     AssignmentProblem,
     AssignmentSolution,
@@ -25,7 +27,7 @@ from plam.equiv import (
     refute_sim,
     verify_witness,
 )
-from plam.fixtures import M24, M48, N24, N48, THETA_Y
+from plam.fixtures import FIXTURES, M24, M48, N24, N48
 from plam.prob import Distr, Dyadic, ONE, ZERO, point
 from plam.smallstep import head_step, spine_step, step_n
 from plam.syntax import (
@@ -50,6 +52,12 @@ def report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
+@pytest.mark.parametrize("name, check", FIXTURES, ids=[name for name, _ in FIXTURES])
+def test_worked_example_fixture(name, check):
+    ok, detail = check()
+    report(name, ok, detail)
+
+
 def test_c01_duplicator_exact_distribution():
     expected = Distr(
         [(parse(r"\y.T"), D("1/4")), (parse(r"\y.F"), D("1/4")), (I, D("1/2"))]
@@ -70,16 +78,6 @@ def test_c02_divergence_and_hidden_mass():
     )
     ok = ok and eval_fuel(parse("Omega (+) I"), 4).distr == Distr([(I, D("1/2"))])
     report("divergence and half-hidden choice", ok)
-
-
-def test_c03_self_application_masses():
-    m = parse(r"\x.y (+) x x")
-    mm = App(m, m)
-    ok = all(
-        eval_fuel(mm, n).distr == Distr([(parse("y"), ONE - Dyadic(1, n))])
-        for n in range(1, 13)
-    )
-    report("self-application mass 1 - 2^-n", ok)
 
 
 def test_c04_separation_pair_and_mass_comparison():
@@ -157,24 +155,6 @@ def test_c08_evaluation_identities(corpus):
     report("abstraction, sum, and hnf identities", ok)
 
 
-def test_c09_tree_fixture_levels():
-    pt1 = prob_tree(THETA_Y, 1, 8)
-    ok = pt1.deficit == ZERO and len(pt1.entries) == 1
-    if ok:
-        vt, w = pt1.entries[0]
-        ok = w == ONE and vt.head == "y" and vt.args == ()
-    pt2 = prob_tree(THETA_Y, 2, 8)
-    ok = ok and pt2.deficit == ZERO and len(pt2.entries) == 2
-    if ok:
-        ok = all(w == D("1/2") and vt.head == "y" for vt, w in pt2.entries)
-        by_args = sorted(pt2.entries, key=lambda kv: len(kv[0].args))
-        plain, applied = by_args[0][0], by_args[1][0]
-        ok = ok and plain.args == () and len(applied.args) == 1
-        child = applied.args[0]
-        ok = ok and len(child.entries) == 1 and child.entries[0][0].head == "y"
-    report("level 1 and 2 trees of the guarded fixpoint", ok)
-
-
 def test_c10_eta_suite_and_level_monotonicity(corpus):
     ok = all(
         isinstance(
@@ -219,17 +199,6 @@ def test_c11_similarity_refutation_and_mass_comparison():
     ok = ok and len(reports) == 40
     ok = ok and all(r.verdict != "LeftExceeds" for r in reports)
     report("similarity refuted both ways, mass never exceeds", ok)
-
-
-def test_c12_bisimilarity_refutation():
-    w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
-    ok = w is not None
-    if ok:
-        lab = Lab(fuel=6, pool=(OMEGA, I))
-        ok = verify_witness(TermState(M24), TermState(N24), w, lab, bisim=True)
-    none = refute_bisim(I, parse(r"\x y.x y"), depth=8, fuel=6, pool=(OMEGA, I))
-    ok = ok and none is None
-    report("bisimilarity refuted for the pair, not for eta", ok)
 
 
 def _random_feasible_instance(rng, n):

@@ -443,8 +443,8 @@ RENDER_GOLDEN = {
     "bound-head": (
         ["tree", r"\x y.x", "--level", "2"],
         {"level": 2, "deficit": "0", "support": [{"weight": "1", "tree": {
-            "binders": 2, "head": "x1", "offset": 2, "args": []}}]},
-        "level 2 tree, deficit 0\n  1 -> λ(2+)...x1 [offset 2]\n",
+            "binders": 2, "head": "@0.1", "offset": 2, "args": []}}]},
+        "level 2 tree, deficit 0\n  1 -> λ(2+)...@0.1 [offset 2]\n",
     ),
     "bottom-tree": (
         ["tree", "Omega", "--level", "2"],
@@ -505,6 +505,36 @@ def test_deep_intermediate_term_exits_with_cap_code(capsys):
         assert code == 2
         assert out == ""
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_memory_exhaustion_exits_with_cap_code(capsys, monkeypatch):
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr("plam.cli.eval_fuel", exhausted)
+    code, out, err = run(capsys, "eval", "Omega", "--fuel", "8")
+    assert code == 2
+    assert out == ""
+    assert err == "resource cap exceeded: out of memory\n"
+
+
+NESTED = r"\a.a (\b.b (\c.c (\d.d (\e.e (\f.f (\g.{} y))))))"
+
+
+@pytest.mark.parametrize(
+    "pair, level",
+    (
+        ((r"\y.y", r"\y.x1"), "2"),
+        # the innermost head is bound at the root (@0.1) or five nodes down (@5.1)
+        ((NESTED.format("a"), NESTED.format("f")), "8"),
+    ),
+)
+def test_different_trees_render_differently(capsys, pair, level):
+    outs = [run(capsys, "tree", t, "--level", level, "--format", fmt)
+            for t in pair for fmt in ("json", "text")]
+    assert outs[0] != outs[2] and outs[1] != outs[3]
+    code, out, _ = run(capsys, "compare-tree", *pair, "--level", level)
+    assert code == 0 and out.startswith("different")
 
 
 def test_nested_spines_hit_nesting_cap(capsys):

@@ -211,6 +211,14 @@ def test_eta_expansion_equal_when_mass_complete(t, fuel):
 
 
 @settings(max_examples=150, **SETTINGS)
+@given(any_terms, st.integers(0, 3), st.integers(0, 6))
+def test_stored_uncertainty_matches_reference(t, level, fuel):
+    pt = prob_tree(t, level, fuel)
+    assert pt.uncertainty == oracles.uncertainty(pt)
+    assert pt.approx.exact == (pt.deficit == ZERO)
+
+
+@settings(max_examples=150, **SETTINGS)
 @given(st.one_of(any_terms, index_open_terms), st.integers(0, 6))
 def test_converge_ignores_leading_binders(t, n):
     for strategy in ("head", "spine"):
