@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .bigstep import eval_fuel
+from .bigstep import _approx
 from .prob import Approx, Distr, Dyadic, ONE, ZERO, point
 from .syntax import Free, Term, Var, classify, reindex
 
@@ -120,6 +120,10 @@ def _open_binders(t: Term, n: int, depth: int) -> Term:
 
 def value_tree(h: Term, level: int, fuel: int, depth: int = 0) -> ValueTree:
     """Canonical value tree of a head normal form."""
+    return _value_tree(h, level, fuel, depth, {}, {})
+
+
+def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: dict) -> ValueTree:
     if level < 1:
         raise ValueError("value trees exist at level >= 1 only")
     view = classify(h)
@@ -137,7 +141,7 @@ def value_tree(h: Term, level: int, fuel: int, depth: int = 0) -> ValueTree:
         return ValueTree(depth, head_name, 0, ())
     child_level = level - 1
     args = [
-        prob_tree(_open_binders(a, n, depth), child_level, fuel, depth + 1)
+        _prob_tree(_open_binders(a, n, depth), child_level, fuel, depth + 1, memo, beta)
         for a in view.args
     ]
     offset = n - len(view.args)
@@ -152,11 +156,17 @@ def value_tree(h: Term, level: int, fuel: int, depth: int = 0) -> ValueTree:
 
 
 def prob_tree(m: Term, level: int, fuel: int, depth: int = 0) -> ProbTree:
-    """Group the fuel approximant of m by value tree at the given level."""
+    """Group the fuel approximant of m by value tree at the given level;
+    every child is evaluated at the same fuel, through one memo and one
+    contraction table (`plam.bigstep`) that live for this call only."""
+    return _prob_tree(m, level, fuel, depth, {}, {})
+
+
+def _prob_tree(m: Term, level: int, fuel: int, depth: int, memo: dict, beta: dict) -> ProbTree:
     if level == 0:
         return bottom()
-    res = eval_fuel(m, fuel)
-    trees = res.distr.map_support(lambda h: value_tree(h, level, fuel, depth))
+    res = _approx(m, fuel, memo, beta)
+    trees = res.distr.map_support(lambda h: _value_tree(h, level, fuel, depth, memo, beta))
     return ProbTree(level, Approx(trees, res.exact))
 
 

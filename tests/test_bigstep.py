@@ -3,9 +3,12 @@ import tracemalloc
 
 import pytest
 
+import oracles
+from plam import prob
 from plam.bigstep import eval_fuel
 from plam.prob import Distr, Dyadic, ONE, ZERO, point
 from plam.syntax import App, Choice, Lam, OMEGA, parse
+from plam.trees import prob_tree
 
 D = Dyadic.parse
 
@@ -62,19 +65,64 @@ def test_evaluation_retains_no_memory_between_calls():
     # twenty distinct branching walks: a memo that outlives its call keeps
     # every intermediate distribution of every one of them alive
     walk = r"Theta (\f x.x (+) (f (a{0} x) (+) f (b{0} x))) z"
-    terms = [parse(walk.format(i)) for i in range(21)]
-    eval_fuel(terms.pop(), 10)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for t in terms:
-            assert eval_fuel(t, 10).mass > ZERO
+    for run in (lambda t: eval_fuel(t, 10).distr, lambda t: prob_tree(t, 4, 10).entries):
+        terms = [parse(walk.format(i)) for i in range(21)]
+        run(terms.pop())
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained < 16 * 1024
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in terms:
+                assert run(t)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 1024
+
+
+WALK = parse(r"Theta (\f x. x (+) f (s x)) z")
+BRANCHING_WALK = parse(r"Theta (\f x. x (+) (f (a x) (+) f (b x))) z")
+
+
+def _distr_builds(monkeypatch, run):
+    count = [0]
+    init = prob.Distr.__init__
+
+    def counted(self, pairs=()):
+        count[0] += 1
+        init(self, pairs)
+
+    with monkeypatch.context() as m:
+        m.setattr(prob.Distr, "__init__", counted)
+        run()
+    return count[0]
+
+
+def test_results_that_never_gave_up_are_reused_across_fuels(monkeypatch):
+    # a walk result is the same at every fuel above the one it needed, so
+    # each subterm is evaluated about once, not once per fuel
+    assert _distr_builds(monkeypatch, lambda: eval_fuel(WALK, 64)) <= 300
+
+
+def test_one_tree_build_shares_its_evaluation_tables(monkeypatch):
+    def run():
+        return prob_tree(BRANCHING_WALK, 6, 14)
+
+    first = _distr_builds(monkeypatch, run)
+    assert first <= 1100
+    # tables live for one call: an identical call does the same work
+    assert _distr_builds(monkeypatch, run) == first > 0
+
+
+@pytest.mark.parametrize("src", [r"Delta I (+) I (Delta I)", r"I (Delta I) (+) Delta I"])
+def test_a_result_is_reused_only_from_the_fuel_it_needs(src):
+    # `Delta I` is reached at fuel 2 and, under `I`, at fuel 1; it needs 2,
+    # so only the bare side reaches I, whichever side comes first
+    t = parse(src)
+    res = eval_fuel(t, 2)
+    assert res.distr == oracles.eval_fuel(t, 2) == Distr([(parse("I"), D("1/2"))])
+    assert eval_fuel(parse("Delta I"), 1).distr == Distr()
 
 
 def test_omega_diverges():

@@ -132,6 +132,16 @@ def test_eval_fuel_matches_the_memo_free_reference(case):
 
 @settings(max_examples=200, **SETTINGS)
 @given(any_terms)
+def test_a_term_reached_at_two_fuels_matches_the_reference(t):
+    # t is evaluated at fuel f on one side and f - 1 under I on the other,
+    # in either order, so a memo entry used below the fuel it needs shows
+    for m in (Choice(t, App(I, t)), Choice(App(I, t), t)):
+        for f in range(7):
+            assert eval_fuel(m, f).distr == oracles.eval_fuel(m, f)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(any_terms)
 def test_step_outcomes_are_stochastic(t):
     for step in (head_step, spine_step):
         out = step(t)
