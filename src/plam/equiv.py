@@ -192,6 +192,8 @@ class Lab:
     """Shared configuration and memo tables for the refutation games."""
 
     def __init__(self, fuel: int = 8, pool: Sequence[Term] = (), tree_level: int = 0):
+        if fuel < 0:
+            raise ValueError("fuel must be non-negative")
         self.fuel = fuel
         # built once: an open pool term fails here, not mid-game
         self.labels = (TAU,) + tuple(Apply(p) for p in pool)
@@ -428,6 +430,8 @@ def applicative_compare(
     LeftExceeds certifies that m's mass beats anything n could still
     reach (refuting m below n); symmetrically for RightExceeds.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
     m, n = _closed_pair(m, n)
     steps = _step_budget(fuel)
     reports = []

@@ -216,7 +216,8 @@ class Approx:
 
     @property
     def upper_mass(self) -> Dyadic:
-        return self.upper(self.distr.support())
+        # an inexact bound's upper end is mass + deficit, which is 1
+        return self.mass if self.exact else ONE
 
     def __repr__(self):
         return f"Approx({self.distr!r}, exact={self.exact}, deficit={self.deficit})"

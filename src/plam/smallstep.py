@@ -137,6 +137,8 @@ def _run(
     positive and outcomes sum to one), so every later step repeats it:
     the loop stops there with the result the remaining steps would give.
     """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     absorbed: Dict[Term, Dyadic] = {}
     live: Dict[HeadForm, Dyadic] = {}
     s = _decompose(t, spine)
@@ -221,6 +223,8 @@ def trace_tree(
     Hnfs are leaves (absorbing). Returns nested {prob, term, children}
     dictionaries with Dyadic probabilities.
     """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     spine = _spine(strategy)
     beta: dict = {}
     count = 0

@@ -18,6 +18,9 @@ references.
 Each node builds one canonical `key` from its children's keys; equality,
 hashing and the order of a tree's entries all read it.
 
+`tree_eq` searches only for a certified difference, a discrepancy beyond
+every deficit allowance; `Equal` and `Unknown` are formed once, at the root.
+
 At level 1 every child is the bottom tree, so the offset carries no
 information and is normalized away; only the head survives.
 """
@@ -118,9 +121,9 @@ def _open_binders(t: Term, n: int, depth: int) -> Term:
     return reindex(t, tuple(Free(binder_ref(depth, n - rel)) for rel in range(n)), -n)
 
 
-def value_tree(h: Term, level: int, fuel: int, depth: int = 0) -> ValueTree:
+def value_tree(h: Term, level: int, fuel: int) -> ValueTree:
     """Canonical value tree of a head normal form."""
-    return _value_tree(h, level, fuel, depth, {}, {})
+    return _value_tree(h, level, fuel, 0, {}, {})
 
 
 def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: dict) -> ValueTree:
@@ -155,11 +158,13 @@ def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: di
     return ValueTree(depth, head_name, offset, tuple(args))
 
 
-def prob_tree(m: Term, level: int, fuel: int, depth: int = 0) -> ProbTree:
+def prob_tree(m: Term, level: int, fuel: int) -> ProbTree:
     """Group the fuel approximant of m by value tree at the given level;
     every child is evaluated at the same fuel, through one memo and one
     contraction table (`plam.bigstep`) that live for this call only."""
-    return _prob_tree(m, level, fuel, depth, {}, {})
+    if level < 0:
+        raise ValueError("tree level must be non-negative")
+    return _prob_tree(m, level, fuel, 0, {}, {})
 
 
 def _prob_tree(m: Term, level: int, fuel: int, depth: int, memo: dict, beta: dict) -> ProbTree:
@@ -208,57 +213,51 @@ def _child(vt: ValueTree, j: int, level: int) -> ProbTree:
     return eta_tree(binder_ref(vt.depth, j + vt.offset), level - 1, vt.depth + 1)
 
 
-def _cmp_vt(a: ValueTree, b: ValueTree, level: int, path: Tuple[int, ...]):
+def _separate_vt(a: ValueTree, b: ValueTree, level: int, path: Tuple[int, ...]):
     if a.head != b.head or a.depth != b.depth:
         return Different(path, a.head, b.head)
-    if level == 1:
-        return Equal()
     if a.offset != b.offset:
         return Different(path, f"offset {a.offset}", f"offset {b.offset}")
-    bound = None
     for j in range(1, max(len(a.args), len(b.args)) + 1):
-        v = _cmp_pt(_child(a, j, level), _child(b, j, level), path + (j,))
-        if isinstance(v, Different):
-            return v
-        if isinstance(v, Unknown):
-            bound = v.bound if bound is None else bound + v.bound
-    return Equal() if bound is None else Unknown(bound)
+        d = _separate(_child(a, j, level), _child(b, j, level), path + (j,))
+        if d is not None:
+            return d
+    return None
 
 
-def _cmp_pt(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
-    bound = a.deficit + b.deficit or a.uncertainty + b.uncertainty
-    if a == b:
-        # equal keys are never certified different; every weight is
-        # positive, so a zero bound means no hidden mass
-        return Unknown(bound) if bound else Equal()
+def _separate(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
+    """A certified difference between two trees, or None."""
+    if a == b:  # every weight is matched by itself
+        return None
     # descend through a unique pair for a precise path; only when both
     # have weight 1, since missing mass may still reach either key
     if len(a.entries) == 1 == len(b.entries) and a.entries[0][1] == b.entries[0][1] == ONE:
-        v = _cmp_vt(a.entries[0][0], b.entries[0][0], a.level, path)
-        if isinstance(v, Different):
-            return v
+        d = _separate_vt(a.entries[0][0], b.entries[0][0], a.level, path)
+        if d is not None:
+            return d
     # certified weight difference: mass on a key exceeds everything the
     # other side could possibly place on trees equal to it
     for first, second in ((a, b), (b, a)):
         for k, w in first.entries:
             near = [
                 k2 for k2, _ in second.entries
-                if k2 == k or not isinstance(_cmp_vt(k, k2, a.level, path), Different)
+                if k2 == k or _separate_vt(k, k2, a.level, path) is None
             ]
             if w > second.approx.upper(near):
                 have = second.approx.lower((k,))
                 return Different(path, w, have) if first is a else Different(path, have, w)
-    return Unknown(bound)
+    return None
 
 
 def tree_eq(a: ProbTree, b: ProbTree):
-    """Three-valued equality on probabilistic trees.
-
-    Equal only when the canonical keys coincide with no mass deficit
-    anywhere; Different only when the discrepancy exceeds every deficit
-    allowance (a certified separation); Unknown otherwise, with an error
-    bound.
-    """
+    """Three-valued equality on probabilistic trees: a certified `Different`
+    if the search finds one, else Equal when the keys coincide with no mass
+    deficit anywhere, else Unknown with an error bound."""
     if a.level != b.level:
         raise ValueError("tree level mismatch")
-    return _cmp_pt(a, b, ())
+    d = _separate(a, b, ())
+    if d is not None:
+        return d
+    # every weight is positive, so a zero bound means no hidden mass
+    bound = a.deficit + b.deficit or a.uncertainty + b.uncertainty
+    return Equal() if a == b and not bound else Unknown(bound)

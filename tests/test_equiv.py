@@ -96,6 +96,22 @@ def test_apply_label_requires_closed_argument():
         Apply(Var(0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: Lab(fuel=-1),
+        lambda: refute_bisim(I, OMEGA, depth=2, fuel=-5),
+        lambda: refute_bisim(I, OMEGA, depth=2, fuel=-5, tree_level=1),
+        lambda: refute_sim(I, OMEGA, depth=2, fuel=-5),
+        lambda: applicative_compare(I, OMEGA, [[I]], fuel=-1),
+    ),
+    ids=("lab", "bisim", "bisim-tree", "sim", "applicative"),
+)
+def test_negative_fuel_rejected(call):
+    with pytest.raises(ValueError, match="fuel must be non-negative"):
+        call()
+
+
 def test_bisim_distinguishes_separation_pair():
     w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
     assert isinstance(w, Witness)

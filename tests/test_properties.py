@@ -36,7 +36,7 @@ from plam.syntax import (
     size,
     substitute,
 )
-from plam.trees import Different, Equal, prob_tree, tree_eq
+from plam.trees import Different, Equal, Unknown, prob_tree, tree_eq
 
 import oracles
 from oracles import commute_witness, frac, run_every_step
@@ -218,6 +218,24 @@ def test_eta_expansion_equal_when_mass_complete(t, fuel):
         assert isinstance(
             tree_eq(prob_tree(t, 1, fuel), prob_tree(expanded, 1, fuel)), Equal
         )
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(
+    any_terms,
+    st.one_of(any_terms, any_terms.map(lambda t: Choice(t, OMEGA)), st.none()),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_tree_eq_is_symmetric(m, n, level, fm, fn):
+    # no n compares two fuel bounds on m's own tree
+    a = prob_tree(m, level, fm)
+    b = prob_tree(m if n is None else n, level, fn)
+    ab, ba = tree_eq(a, b), tree_eq(b, a)
+    assert type(ab) is type(ba)
+    if isinstance(ab, Unknown):
+        assert ab.bound == ba.bound
 
 
 @settings(max_examples=150, **SETTINGS)

@@ -90,6 +90,12 @@ def test_unknown_strategy_rejected():
         step_n(parse("I"), 1, "leftmost")
 
 
+@pytest.mark.parametrize("entry", (step_n, converge, trace_tree))
+def test_negative_steps_rejected(entry):
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        entry(parse("I I"), -3)
+
+
 def test_cap_enforced():
     # a term that doubles its live states every step
     t = parse(r"(\x.(x (+) a) (+) (x (+) b)) c")

@@ -30,6 +30,16 @@ def test_level_zero_is_bottom():
     assert prob_tree(parse("Omega"), 0, 8) == bottom()
 
 
+def test_negative_level_rejected_before_evaluation(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr("plam.trees._approx", no_evaluation)
+    for src in ("Omega", "I"):
+        with pytest.raises(ValueError, match="tree level must be non-negative"):
+            prob_tree(parse(src), -1, 4)
+
+
 def test_divergent_term_is_bottom_at_every_level():
     for lvl in (1, 2, 3):
         pt = prob_tree(parse("Omega"), lvl, 8)
