@@ -194,6 +194,8 @@ class Lab:
     def __init__(self, fuel: int = 8, pool: Sequence[Term] = (), tree_level: int = 0):
         if fuel < 0:
             raise ValueError("fuel must be non-negative")
+        if tree_level < 0:
+            raise ValueError("tree level must be non-negative")
         self.fuel = fuel
         # built once: an open pool term fails here, not mid-game
         self.labels = (TAU,) + tuple(Apply(p) for p in pool)
@@ -345,6 +347,8 @@ def refute_bisim(
     Open terms are λ-closed first (free names bound in lexicographic
     order). None is always inconclusive.
     """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     m, n = _closed_pair(m, n)
     lab = Lab(fuel=fuel, pool=pool, tree_level=tree_level)
     return lab.diff(TermState(m), TermState(n), depth, bisim=True)
@@ -358,6 +362,8 @@ def refute_sim(
     pool: Sequence[Term] = (),
 ) -> Optional[object]:
     """Search for a certificate that m is not simulated by n."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     m, n = _closed_pair(m, n)
     lab = Lab(fuel=fuel, pool=pool)
     return lab.diff(TermState(m), TermState(n), depth, bisim=False)

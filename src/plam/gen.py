@@ -7,6 +7,10 @@ from typing import List, Optional
 
 from .syntax import App, Choice, Free, Lam, Term, Var, size
 
+# at the corpus sizes in use, no run of draws adding no new term was seen
+# to pass 200
+_MAX_FRUITLESS_DRAWS = 100_000
+
 
 def random_term(
     rng: random.Random,
@@ -42,13 +46,25 @@ def random_term(
 
 
 def closed_corpus(seed: int, count: int, max_size: int = 12) -> List[Term]:
-    """A deterministic corpus of distinct closed terms."""
+    """A deterministic corpus of distinct closed terms.
+
+    Raises ValueError once 100 000 draws in a row add no new term, as when
+    fewer than `count` distinct closed terms fit in `max_size`.
+    """
     rng = random.Random(seed)
     seen = set()
     out: List[Term] = []
+    fruitless = 0
     while len(out) < count:
         t = random_term(rng, max_size)
         if size(t) <= max_size and t not in seen:
             seen.add(t)
             out.append(t)
+            fruitless = 0
+        else:
+            fruitless += 1
+            if fruitless == _MAX_FRUITLESS_DRAWS:
+                raise ValueError(
+                    f"found {len(out)} of {count} distinct closed terms of size <= {max_size}"
+                )
     return out

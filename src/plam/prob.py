@@ -185,9 +185,9 @@ class Distr:
 class Approx:
     """A lower bound `distr` on a limit distribution, plus whether it is exact.
 
-    Mass the bound leaves out (the deficit) may still reach any key, so the
-    upper end of an interval adds it unless `exact` certifies the bound as
-    the limit itself.
+    The deficit is the mass that may still arrive, at any key: zero when
+    `exact` certifies the bound as the limit itself, else the mass the
+    bound leaves out. The upper end of an interval adds it.
     """
 
     __slots__ = ("distr", "exact")
@@ -202,7 +202,7 @@ class Approx:
 
     @property
     def deficit(self) -> Dyadic:
-        return self.distr.deficit
+        return ZERO if self.exact else self.distr.deficit
 
     def lower(self, keys) -> Dyadic:
         total = ZERO
@@ -211,13 +211,11 @@ class Approx:
         return total
 
     def upper(self, keys) -> Dyadic:
-        total = self.lower(keys)
-        return total if self.exact else total + self.deficit
+        return self.lower(keys) + self.deficit
 
     @property
     def upper_mass(self) -> Dyadic:
-        # an inexact bound's upper end is mass + deficit, which is 1
-        return self.mass if self.exact else ONE
+        return self.mass + self.deficit
 
     def __repr__(self):
         return f"Approx({self.distr!r}, exact={self.exact}, deficit={self.deficit})"

@@ -19,7 +19,8 @@ Each node builds one canonical `key` from its children's keys; equality,
 hashing and the order of a tree's entries all read it.
 
 `tree_eq` searches only for a certified difference, a discrepancy beyond
-every deficit allowance; `Equal` and `Unknown` are formed once, at the root.
+every deficit allowance, comparing each pair of value trees once; `Equal`
+and `Unknown` are formed once, at the root.
 
 At level 1 every child is the bottom tree, so the offset carries no
 information and is normalized away; only the head survives.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .bigstep import _approx
-from .prob import Approx, Distr, Dyadic, ONE, ZERO, point
+from .prob import Approx, Distr, Dyadic, ONE, point
 from .syntax import Free, Term, Var, classify, reindex
 
 
@@ -97,7 +98,7 @@ class ProbTree(_Keyed):
 
     @property
     def deficit(self) -> Dyadic:
-        return ZERO if self.approx.exact else self.approx.deficit
+        return self.approx.deficit
 
     def __repr__(self):
         return f"PT(l{self.level} {len(self.entries)} keys deficit={self.deficit})"
@@ -109,6 +110,8 @@ def bottom() -> ProbTree:
 
 def eta_tree(name: str, level: int, depth: int = 0) -> ProbTree:
     """The level-ℓ tree of the bare variable `name` at a given node depth."""
+    if level < 0:
+        raise ValueError("tree level must be non-negative")
     if level == 0:
         return bottom()
     return ProbTree(level, Approx(point(ValueTree(depth, name, 0, ())), True))
@@ -148,11 +151,8 @@ def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: di
         for a in view.args
     ]
     offset = n - len(view.args)
-    while args:
-        pos = len(args) + offset
-        if pos < 1:
-            break
-        if args[-1] != eta_tree(binder_ref(depth, pos), child_level, depth + 1):
+    while args and len(args) + offset >= 1:
+        if args[-1] != eta_tree(binder_ref(depth, len(args) + offset), child_level, depth + 1):
             break
         args.pop()
     return ValueTree(depth, head_name, offset, tuple(args))
@@ -229,23 +229,22 @@ def _separate(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
     """A certified difference between two trees, or None."""
     if a == b:  # every weight is matched by itself
         return None
-    # descend through a unique pair for a precise path; only when both
-    # have weight 1, since missing mass may still reach either key
+    # descend through a unique pair of weight 1 (else missing mass may reach
+    # either key); if that finds nothing, each weight of 1 is matched
     if len(a.entries) == 1 == len(b.entries) and a.entries[0][1] == b.entries[0][1] == ONE:
-        d = _separate_vt(a.entries[0][0], b.entries[0][0], a.level, path)
-        if d is not None:
-            return d
+        return _separate_vt(a.entries[0][0], b.entries[0][0], a.level, path)
     # certified weight difference: mass on a key exceeds everything the
     # other side could possibly place on trees equal to it
-    for first, second in ((a, b), (b, a)):
-        for k, w in first.entries:
-            near = [
-                k2 for k2, _ in second.entries
-                if k2 == k or _separate_vt(k, k2, a.level, path) is None
-            ]
-            if w > second.approx.upper(near):
-                have = second.approx.lower((k,))
-                return Different(path, w, have) if first is a else Different(path, have, w)
+    rows = []  # per key of a, the keys of b not certainly apart from it
+    for k, w in a.entries:
+        rows.append({k2 for k2, _ in b.entries if k2 == k or _separate_vt(k, k2, a.level, path) is None})
+        if w > b.approx.upper(rows[-1]):
+            return Different(path, w, b.approx.lower((k,)))
+    # a None from `_separate_vt` is symmetric, so a's rows serve b's keys
+    for k2, w in b.entries:
+        near = [k for (k, _), row in zip(a.entries, rows) if k2 in row]
+        if w > a.approx.upper(near):
+            return Different(path, a.approx.lower((k2,)), w)
     return None
 
 

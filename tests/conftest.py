@@ -2,8 +2,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from plam.gen import closed_corpus
+
+# `pytest --hypothesis-profile=ci` prints a reproduction blob on failure
+settings.register_profile("ci", print_blob=True)
 
 # `pythonpath` in pyproject.toml puts src/ on this process's path only;
 # tests that start `python -m plam.cli` need it in the environment too.

@@ -21,6 +21,7 @@ from plam.syntax import (
     size,
     substitute,
 )
+from plam.trees import Different, Equal, Unknown, _child
 
 
 def frac(d: Dyadic) -> Fraction:
@@ -36,6 +37,50 @@ def uncertainty(pt) -> Dyadic:
         for child in vt.args:
             total = total + w * uncertainty(child)
     return total
+
+
+def _separate_vt(a, b, level: int, path: Tuple[int, ...]):
+    if a.head != b.head or a.depth != b.depth:
+        return Different(path, a.head, b.head)
+    if a.offset != b.offset:
+        return Different(path, f"offset {a.offset}", f"offset {b.offset}")
+    for j in range(1, max(len(a.args), len(b.args)) + 1):
+        d = _separate(_child(a, j, level), _child(b, j, level), path + (j,))
+        if d is not None:
+            return d
+    return None
+
+
+def _separate(a, b, path: Tuple[int, ...]):
+    if a == b:
+        return None
+    if len(a.entries) == 1 == len(b.entries) and a.entries[0][1] == b.entries[0][1] == ONE:
+        d = _separate_vt(a.entries[0][0], b.entries[0][0], a.level, path)
+        if d is not None:
+            return d
+    for first, second in ((a, b), (b, a)):
+        for k, w in first.entries:
+            near = [
+                k2 for k2, _ in second.entries
+                if k2 == k or _separate_vt(k, k2, a.level, path) is None
+            ]
+            if w > second.approx.upper(near):
+                have = second.approx.lower((k,))
+                return Different(path, w, have) if first is a else Different(path, have, w)
+    return None
+
+
+def tree_eq(a, b):
+    """Reference for `trees.tree_eq`: after the unique pair's descent finds
+    nothing, the certified-weight test still runs, and it runs in both
+    directions, comparing every pair of value trees afresh each time."""
+    if a.level != b.level:
+        raise ValueError("tree level mismatch")
+    d = _separate(a, b, ())
+    if d is not None:
+        return d
+    bound = a.deficit + b.deficit or a.uncertainty + b.uncertainty
+    return Equal() if a == b and not bound else Unknown(bound)
 
 
 def eval_fuel(t: Term, fuel: int) -> Distr:

@@ -112,6 +112,20 @@ def test_negative_fuel_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: refute_bisim(I, OMEGA, depth=-1), "depth"),
+        (lambda: refute_sim(I, OMEGA, depth=-1), "depth"),
+        (lambda: Lab(tree_level=-1), "tree level"),
+    ),
+    ids=("bisim-depth", "sim-depth", "lab-tree-level"),
+)
+def test_negative_depth_and_tree_level_rejected(call, message):
+    with pytest.raises(ValueError, match=f"{message} must be non-negative"):
+        call()
+
+
 def test_bisim_distinguishes_separation_pair():
     w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
     assert isinstance(w, Witness)

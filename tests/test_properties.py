@@ -56,6 +56,7 @@ open_terms = st.builds(
     st.just(["a", "b", "y"]),
 )
 any_terms = st.one_of(closed_terms, open_terms)
+maybe_omega_terms = st.one_of(any_terms, any_terms.map(lambda t: Choice(t, OMEGA)))
 # terms with dangling binder indices, as found under binders during reduction
 index_open_terms = st.builds(
     lambda seed, size, env: random_term(random.Random(seed), size, env, ["a", "y"]),
@@ -236,6 +237,19 @@ def test_tree_eq_is_symmetric(m, n, level, fm, fn):
     assert type(ab) is type(ba)
     if isinstance(ab, Unknown):
         assert ab.bound == ba.bound
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(
+    maybe_omega_terms,
+    maybe_omega_terms,
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+def test_tree_eq_matches_the_reference(m, n, level, fm, fn):
+    a, b = prob_tree(m, level, fm), prob_tree(n, level, fn)
+    assert repr(tree_eq(a, b)) == repr(oracles.tree_eq(a, b))
 
 
 @settings(max_examples=150, **SETTINGS)

@@ -109,6 +109,15 @@ def test_converge_certifies_divergence():
     assert res.upper_mass == Dyadic(0)
 
 
+def test_certified_bound_leaves_no_deficit():
+    # nothing may still arrive once the bound is certified, whatever its mass
+    for t, mass in ((OMEGA, Dyadic(0)), (Choice(OMEGA, parse("I")), HALF)):
+        res = converge(t, 4)
+        assert res.exact and res.mass == mass and res.distr.deficit == ONE - mass
+        assert res.deficit == Dyadic(0)
+        assert res.upper(()) == Dyadic(0) and res.upper_mass == mass
+
+
 def test_converge_stops_at_the_fixed_point(monkeypatch):
     calls = []
     successor = smallstep._successor

@@ -1,5 +1,6 @@
 import pytest
 
+from plam import trees
 from plam.equiv import refute_bisim
 from plam.fixtures import M24, MM, N24, THETA_Y
 from plam.prob import Dyadic, ONE, ZERO
@@ -44,6 +45,11 @@ def test_divergent_term_is_bottom_at_every_level():
     for lvl in (1, 2, 3):
         pt = prob_tree(parse("Omega"), lvl, 8)
         assert pt.entries == () and pt.deficit == ONE
+
+
+def test_eta_tree_rejects_negative_level():
+    with pytest.raises(ValueError, match="tree level must be non-negative"):
+        eta_tree("y", -1)
 
 
 def test_eta_tree_shape():
@@ -195,3 +201,31 @@ def test_possible_mass_sums_keys_not_certainly_different():
 )
 def test_second_tree_outweighing_the_first_is_certified(a, b, expected):
     assert _verdict(a, b, 2, 8) == expected
+
+
+def _spine(n, tail):
+    body = tail
+    for _ in range(n):
+        body = f"x ({body})"
+    return parse(r"\x." + body)
+
+
+def test_tree_eq_compares_each_pair_of_value_trees_once(monkeypatch):
+    calls = []
+    separate_vt = trees._separate_vt
+
+    def counting(*args):
+        calls.append(args)
+        return separate_vt(*args)
+
+    monkeypatch.setattr(trees, "_separate_vt", counting)
+    # a unique pair at every level is descended once, not compared again
+    n = 7
+    a, b = (prob_tree(_spine(n, tail), 8, 8) for tail in ("Omega", "y"))
+    assert repr(tree_eq(a, b)) == "Unknown(bound=1)"
+    assert len(calls) <= n
+    # b's keys read the rows a's keys built
+    calls.clear()
+    walk = parse(r"Theta (\f x.x (+) (f (a x) (+) f (b x))) z")
+    tree_eq(prob_tree(walk, 6, 14), prob_tree(walk, 6, 12))
+    assert len(calls) <= 14_718
