@@ -8,22 +8,26 @@ forces the give-up rule, contributing missing mass instead of an error.
 The result is the largest distribution derivable under that policy, and
 is monotone in the fuel. As fuel is read only there, a derivation in
 which the give-up rule never fired is the same at every larger fuel:
-`_eval` returns its `need`, the least such fuel, or None if it gave up.
+`_eval` returns its `need`, the least such fuel, or ∞ (`math.inf`) if
+it gave up, so needs combine by `max` alone.
 
 An evaluation keeps two tables, keyed by α-equivalence (equality of
 nameless terms) and dropped when its caller returns: a memo, holding a
-result with a `need` under the term alone, for every fuel at or above
-it, and a give-up result under (term, fuel); and a contraction table
-from a β-redex (λ.b, a) to b[a], so each redex is substituted once.
+result under (term, fuel) when its `need` exceeds that fuel, which is
+exactly when it gave up, and otherwise under the term alone, for every
+fuel at or above its `need`; and a contraction table from a β-redex
+(λ.b, a) to b[a], so each redex is substituted once.
 """
 
 from __future__ import annotations
+
+import math
 
 from .prob import Approx, Distr, HALF, point
 from .syntax import App, Choice, Free, Lam, Term, Var, substitute
 
 
-def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> tuple[Distr, int | None]:
+def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> tuple[Distr, float]:
     # the memo lookups stay inline: one Python frame per term level
     out = memo.get(term)
     if out is None or out[1] > fuel:
@@ -41,7 +45,7 @@ def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> tuple[Distr, int | N
         left, need = _eval(term.left, fuel, memo, beta)
         right, right_need = _eval(term.right, fuel, memo, beta)
         pairs = [(h, w * HALF) for side in (left, right) for h, w in side.items()]
-        out = (Distr(pairs), None if need is None or right_need is None else max(need, right_need))
+        out = (Distr(pairs), max(need, right_need))
     else:
         # application: evaluate the function part, then dispatch on its
         # support; collect every branch's pairs and build the result once:
@@ -53,7 +57,7 @@ def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> tuple[Distr, int | N
             if not isinstance(h, Lam):
                 pairs.append((App(h, term.arg), w))
             elif fuel == 0:
-                need = None
+                need = math.inf
             else:
                 redex = (h, term.arg)
                 body = beta.get(redex)
@@ -61,9 +65,9 @@ def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> tuple[Distr, int | N
                     body = beta[redex] = substitute(h.body, term.arg)
                 res, body_need = _eval(body, fuel - 1, memo, beta)
                 pairs.extend((h2, v * w) for h2, v in res.items())
-                need = None if need is None or body_need is None else max(need, body_need + 1)
+                need = max(need, body_need + 1)
         out = (Distr(pairs), need)
-    memo[(term, fuel) if out[1] is None else term] = out
+    memo[(term, fuel) if out[1] > fuel else term] = out
     return out
 
 

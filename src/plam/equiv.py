@@ -95,11 +95,13 @@ def _step_budget(fuel: int) -> int:
 def transitions(state, label, fuel: int) -> Approx:
     """Transition probabilities of the chain, as a certified lower bound.
 
-    A term state evaluates under τ, landing on binder-peeled hnf states;
-    a distinguished hnf consumes an Apply label by substitution. All other
-    pairs have no transitions at all (exactly).
+    A term state, which must be closed, evaluates under τ, landing on
+    binder-peeled hnf states; a distinguished hnf consumes an Apply label
+    by substitution. All other pairs have no transitions at all (exactly).
     """
     if isinstance(state, TermState) and label is TAU:
+        if not is_closed(state.term):
+            raise ValueError("term states must be closed terms")
         res = converge(state.term, _step_budget(fuel))
         pairs = []
         for h, w in res.distr.items():
@@ -218,7 +220,6 @@ class Lab:
         key = (u, v, depth, bisim)
         if key in self._diff_memo:
             return self._diff_memo[key]
-        self._diff_memo[key] = None  # cut cycles pessimistically
         result = None
         if bisim and self.tree_level > 0:
             result = _tree_witness(u, v, self.tree_level, self.fuel)

@@ -8,7 +8,7 @@ alpha-equivalence, and substitution is capture-free by construction.
 
 from __future__ import annotations
 
-import string
+import re
 from typing import List, Tuple
 
 
@@ -190,6 +190,8 @@ def is_closed(t: Term) -> bool:
 def lam_close(t: Term, names: frozenset | None = None) -> Term:
     """λ-close a term over `names` (default: its free names), binding them
     in lexicographic order (first name becomes the outermost binder)."""
+    if t.loose:
+        raise ValueError("dangling binder index in λ-closing")
     order = sorted(free_vars(t) if names is None else names)
     # the distance of each name's binder from the top of the term
     rank = {name: len(order) - 1 - i for i, name in enumerate(order)}
@@ -295,9 +297,12 @@ def is_hnf(t: Term) -> bool:
 # inside Python's default stack.
 MAX_NESTING = 200
 
-_LAMBDA_CHARS = ("\\", "λ")
-_NAME_START = set(string.ascii_letters + "_")
-_NAME_CHARS = set(string.ascii_letters + string.digits + "_'")
+# one group per token kind, tried in order, so "(+)" is read before "(";
+# whitespace matches no group, and any other character is `bad`
+_TOKEN = re.compile(
+    r"(?P<oplus>\(\+\)|⊕)|(?P<lambda>[\\λ])|(?P<dot>\.)|(?P<lparen>\()|(?P<rparen>\))"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<bad>\S)"
+)
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -312,47 +317,19 @@ class ParseError(ValueError):
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("(+)", i):
-            tokens.append(("oplus", "(+)", i))
-            i += 3
-        elif c == "⊕":
-            tokens.append(("oplus", c, i))
-            i += 1
-        elif c in _LAMBDA_CHARS:
-            tokens.append(("lambda", c, i))
-            i += 1
-        elif c == ".":
-            tokens.append(("dot", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rparen", c, i))
-            i += 1
-        elif c in _NAME_START:
-            j = i + 1
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((kind, m[0], m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, constants):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.constants = constants
 
     def peek(self) -> Tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -408,8 +385,8 @@ class _Parser:
         if kind == "name":
             if value in env:
                 return Var(env.index(value))
-            if value in self.constants:
-                return shift(self.constants[value], len(env))
+            if value in CONSTANTS:
+                return shift(CONSTANTS[value], len(env))
             return Free(value)
         if kind == "lparen":
             t = self.parse_term(env, depth + 1)
@@ -438,7 +415,7 @@ def _check_height(t: Term) -> None:
     raise ResourceCapExceeded(f"term nests deeper than {MAX_NESTING} levels")
 
 
-def parse(text: str, constants=None) -> Term:
+def parse(text: str) -> Term:
     """Parse surface syntax into a nameless Term.
 
     Choice binds loosest and associates right; application is left
@@ -447,9 +424,7 @@ def parse(text: str, constants=None) -> Term:
     than MAX_NESTING, or a term higher than it, raises
     ResourceCapExceeded.
     """
-    if constants is None:
-        constants = CONSTANTS
-    parser = _Parser(text, constants)
+    parser = _Parser(text)
     t = parser.parse_term([], 0)
     parser.expect("eof")
     _check_height(t)
@@ -518,9 +493,11 @@ _BASE_CONSTANTS = {
     "Theta": r"(\x y.y (x x y)) (\x y.y (x x y))",
 }
 
+# the base sources name no constant, so each parses against the table
+# while it is being filled
 CONSTANTS = {}
 for _name, _src in _BASE_CONSTANTS.items():
-    CONSTANTS[_name] = parse(_src, constants={})
+    CONSTANTS[_name] = parse(_src)
 CONSTANTS["Omega"] = App(CONSTANTS["Delta"], CONSTANTS["Delta"])
 CONSTANTS["hid"] = Choice(CONSTANTS["Omega"], CONSTANTS["I"])
 

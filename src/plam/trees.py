@@ -4,8 +4,10 @@
 A probabilistic tree is a level plus a `prob.Approx` over value trees: a
 lower bound on the tree of the limit distribution, and whether that bound
 is exact. Its deficit is the mass the bound leaves out, zero when exact;
-its uncertainty adds the children's, weighted, and bounds the mass that
-may still move anywhere in the tree. A value tree of level
+its uncertainty adds, for each entry, the weight times the largest
+uncertainty among the entry's children. It bounds the mass that may
+still move anywhere in the tree, counting a node's missing mass once, so
+it is at most 1. A value tree of level
 ℓ ≥ 1 abstracts an hnf λx₁…xₙ.y M₁…Mₘ as a head reference plus level-(ℓ−1)
 child trees. The infinite binder sequence and the infinite tail of
 η-children are never materialized: a node stores the offset n−m together
@@ -91,9 +93,10 @@ class ProbTree(_Keyed):
         # zero terms are skipped, so an exact subtree costs no arithmetic
         u = self.deficit
         for vt, w in self.entries:
-            for child in vt.args:
-                if child.uncertainty:
-                    u = u + w * child.uncertainty
+            if vt.args:
+                worst = max(child.uncertainty for child in vt.args)
+                if worst:
+                    u = u + w * worst
         self.uncertainty = u
 
     @property
@@ -251,12 +254,13 @@ def _separate(a: ProbTree, b: ProbTree, path: Tuple[int, ...]):
 def tree_eq(a: ProbTree, b: ProbTree):
     """Three-valued equality on probabilistic trees: a certified `Different`
     if the search finds one, else Equal when the keys coincide with no mass
-    deficit anywhere, else Unknown with an error bound."""
+    deficit anywhere, else Unknown with an error bound: the two trees'
+    uncertainties added."""
     if a.level != b.level:
         raise ValueError("tree level mismatch")
     d = _separate(a, b, ())
     if d is not None:
         return d
     # every weight is positive, so a zero bound means no hidden mass
-    bound = a.deficit + b.deficit or a.uncertainty + b.uncertainty
+    bound = a.uncertainty + b.uncertainty
     return Equal() if a == b and not bound else Unknown(bound)

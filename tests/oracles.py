@@ -1,11 +1,12 @@
 """Reference helpers that the tests check the library against; they are
 not part of the library."""
 
+import string
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from plam import smallstep
-from plam.prob import Approx, Distr, Dyadic, HALF, ONE, point
+from plam.prob import Approx, Distr, Dyadic, HALF, ONE, ZERO, point
 from plam.smallstep import StepOutcome
 from plam.syntax import (
     App,
@@ -13,6 +14,7 @@ from plam.syntax import (
     Free,
     HeadForm,
     Lam,
+    ParseError,
     ResourceCapExceeded,
     Term,
     Var,
@@ -29,13 +31,72 @@ def frac(d: Dyadic) -> Fraction:
     return Fraction(d.num, 1 << d.exp)
 
 
+_LAMBDA_CHARS = ("\\", "λ")
+_NAME_START = set(string.ascii_letters + "_")
+_NAME_CHARS = set(string.ascii_letters + string.digits + "_'")
+
+
+def tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """Reference for `syntax._tokenize`: one character at a time."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if text.startswith("(+)", i):
+            tokens.append(("oplus", "(+)", i))
+            i += 3
+        elif c == "⊕":
+            tokens.append(("oplus", c, i))
+            i += 1
+        elif c in _LAMBDA_CHARS:
+            tokens.append(("lambda", c, i))
+            i += 1
+        elif c == ".":
+            tokens.append(("dot", c, i))
+            i += 1
+        elif c == "(":
+            tokens.append(("lparen", c, i))
+            i += 1
+        elif c == ")":
+            tokens.append(("rparen", c, i))
+            i += 1
+        elif c in _NAME_START:
+            j = i + 1
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
 def uncertainty(pt) -> Dyadic:
-    """Reference for `ProbTree.uncertainty`: the deficit plus each child's
-    uncertainty weighted by its entry, recomputed over the whole subtree."""
+    """Reference for `ProbTree.uncertainty`: the deficit plus, for each
+    entry, its weight times the largest uncertainty among its children,
+    recomputed over the whole subtree."""
     total = pt.deficit
     for vt, w in pt.entries:
-        for child in vt.args:
-            total = total + w * uncertainty(child)
+        total = total + w * max((uncertainty(child) for child in vt.args), default=ZERO)
+    return total
+
+
+def coupling_cost(t: Term, level: int, fuel: int, more: int) -> Dyadic:
+    """The cost of the coupling that pairs each hnf of the level-`level`
+    tree of `t` at `fuel` with the same hnf at `more` > `fuel`: a pair of
+    equal hnfs costs the largest cost among their children, and mass that
+    arrives only at `more` costs its full weight."""
+    if level == 0:
+        return ZERO
+    low, high = eval_fuel(t, fuel), eval_fuel(t, more)
+    total = high.mass - low.mass
+    for h, w in low.items():
+        costs = [coupling_cost(a, level - 1, fuel, more) for a in classify(h).args]
+        total = total + w * max(costs, default=ZERO)
     return total
 
 
@@ -79,7 +140,7 @@ def tree_eq(a, b):
     d = _separate(a, b, ())
     if d is not None:
         return d
-    bound = a.deficit + b.deficit or a.uncertainty + b.uncertainty
+    bound = uncertainty(a) + uncertainty(b)
     return Equal() if a == b and not bound else Unknown(bound)
 
 

@@ -325,6 +325,12 @@ def test_proptest_clean(capsys):
     assert payload["failures"] == []
 
 
+def _triple_nest(base, k):
+    for _ in range(k):
+        base = rf"\x.x ({base}) ({base}) ({base})"
+    return base
+
+
 TEXT_GOLDEN = {
     "tree": (
         ["tree", r"Theta (\f.y (+) y f)", "--level", "2", "--fuel", "8"],
@@ -369,6 +375,15 @@ tree difference at level 2: Different(path=[], left=1, right=0)
     "compare-tree-unknown": (
         ["compare-tree", r"(\x.y (+) x x) (\x.y (+) x x)", "y", "--fuel", "6"],
         "unknown (deficit bound 1/64)\n",
+    ),
+    # a node's missing mass is counted once, however many children are short
+    "compare-tree-two-short-children": (
+        ["compare-tree", r"\x.x Omega Omega", r"\x.x y y", "--level", "3"],
+        "unknown (deficit bound 1)\n",
+    ),
+    "compare-tree-three-way-depth-6": (
+        ["compare-tree", _triple_nest("Omega", 6), _triple_nest("y", 6), "--level", "8"],
+        "unknown (deficit bound 1)\n",
     ),
     "trace": (
         ["trace", "a (+) b"],

@@ -17,7 +17,7 @@ from plam.equiv import (
 from plam.fixtures import M24, M48, N24, N48
 from plam.prob import Distr, Dyadic, ONE, ZERO
 from plam.smallstep import converge
-from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, Var, parse
+from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, ResourceCapExceeded, Var, parse
 
 D = Dyadic.parse
 
@@ -83,6 +83,11 @@ def test_apply_transition_substitutes():
     assert res.distr == Distr([(TermState(App(I, Choice(OMEGA, I))), ONE)])
 
 
+def test_tau_transition_requires_closed_term():
+    with pytest.raises(ValueError, match="term states must be closed terms"):
+        transitions(TermState(parse("y")), TAU, 4)
+
+
 def test_mismatched_labels_have_no_transitions():
     assert not transitions(TermState(T), Apply(I), 4).distr
     assert not transitions(HnfState(T.body), TAU, 4).distr
@@ -131,6 +136,26 @@ def test_bisim_distinguishes_separation_pair():
     assert isinstance(w, Witness)
     lab = Lab(fuel=6, pool=(OMEGA, I))
     assert verify_witness(TermState(M24), TermState(N24), w, lab, bisim=True)
+
+
+def test_dangling_binder_index_rejected_not_captured():
+    with pytest.raises(ValueError, match="dangling binder index"):
+        refute_bisim(Var(0), I)
+
+
+def test_a_raised_search_leaves_no_verdict_behind(monkeypatch):
+    lab = Lab(fuel=6, pool=(OMEGA, I))
+    u, v = TermState(M24), TermState(N24)
+
+    def interrupted(*args):
+        raise ResourceCapExceeded("interrupted")
+
+    with monkeypatch.context() as m:
+        m.setattr("plam.equiv.transitions", interrupted)
+        with pytest.raises(ResourceCapExceeded):
+            lab.diff(u, v, 8, True)
+    # the same lab searches the pair afresh, as a new one would
+    assert isinstance(lab.diff(u, v, 8, True), Witness)
 
 
 def test_bisim_inconclusive_on_eta_pair():

@@ -7,10 +7,12 @@ reproducible.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plam import syntax
 from plam.bigstep import eval_fuel
 from plam.equiv import Lab, TermState, refute_bisim, refute_sim, verify_witness
 from plam.gen import random_term
@@ -24,6 +26,7 @@ from plam.syntax import (
     Choice,
     Free,
     Lam,
+    ParseError,
     ResourceCapExceeded,
     Var,
     classify,
@@ -65,6 +68,20 @@ index_open_terms = st.builds(
     st.integers(1, 3),
 )
 
+
+def _spine_of(*args):
+    body = Var(0)
+    for a in args:
+        body = App(body, a)
+    return Lam(body)
+
+
+# \x.x A B and \x.x A B C: nodes with two or three possibly uncertain children
+spine_terms = st.one_of(
+    st.builds(_spine_of, maybe_omega_terms, maybe_omega_terms),
+    st.builds(_spine_of, maybe_omega_terms, maybe_omega_terms, maybe_omega_terms),
+)
+
 dyadics = st.builds(Dyadic, st.integers(0, 1 << 10), st.integers(0, 10))
 # at most 1 each, so that short lists land on both sides of mass 1
 weights = st.builds(Dyadic, st.integers(0, 1 << 10), st.integers(10, 20))
@@ -74,6 +91,31 @@ weights = st.builds(Dyadic, st.integers(0, 1 << 10), st.integers(10, 20))
 @given(any_terms)
 def test_parse_print_round_trip(t):
     assert parse(pretty(t)) == t
+
+
+_TOKEN_PIECES = ["x", "y1", "_a'", "I", "Omega", "\\", "λ", ".", "(", ")", "(+)", "⊕", "+", " "]
+_JUNK = ["0", "7", "$", "\t", "\n", "\x1c", "\u200b", "é", "Ω"]
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as e:
+        return ("ParseError", str(e), e.position)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_TOKEN_PIECES + _JUNK), max_size=30).map("".join),
+        st.text(st.sampled_from("".join(_TOKEN_PIECES + _JUNK)), max_size=30),
+    )
+)
+def test_tokenize_matches_reference(text):
+    assert _outcome(syntax._tokenize, text) == _outcome(oracles.tokenize, text)
+    with mock.patch.object(syntax, "_tokenize", oracles.tokenize):
+        expected = _outcome(parse, text)
+    assert _outcome(parse, text) == expected
 
 
 @settings(max_examples=200, **SETTINGS)
@@ -253,11 +295,26 @@ def test_tree_eq_matches_the_reference(m, n, level, fm, fn):
 
 
 @settings(max_examples=150, **SETTINGS)
-@given(any_terms, st.integers(0, 3), st.integers(0, 6))
+@given(st.one_of(any_terms, spine_terms), st.integers(0, 3), st.integers(0, 6))
 def test_stored_uncertainty_matches_reference(t, level, fuel):
     pt = prob_tree(t, level, fuel)
     assert pt.uncertainty == oracles.uncertainty(pt)
     assert pt.approx.exact == (pt.deficit == ZERO)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(st.one_of(maybe_omega_terms, spine_terms), st.integers(0, 4), st.integers(0, 6))
+def test_stored_uncertainty_is_at_most_one(t, level, fuel):
+    # a node's missing mass is counted once, however many children share it
+    assert prob_tree(t, level, fuel).uncertainty <= ONE
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(st.one_of(maybe_omega_terms, spine_terms), st.integers(1, 3), st.integers(0, 7))
+def test_more_fuel_moves_no_more_mass_than_the_uncertainty(t, level, fuel):
+    bound = prob_tree(t, level, fuel).uncertainty
+    for more in range(fuel + 1, 9):
+        assert oracles.coupling_cost(t, level, fuel, more) <= bound
 
 
 @settings(max_examples=150, **SETTINGS)
@@ -419,6 +476,11 @@ def _ref_free_vars(t):
 @settings(max_examples=200, **SETTINGS)
 @given(some_terms, st.frozensets(st.sampled_from(["a", "b", "y", "q"])))
 def test_lam_close_matches_one_pass_per_name(t, names):
+    if t.loose:
+        # the new binders would capture a dangling index
+        with pytest.raises(ValueError, match="dangling binder index"):
+            lam_close(t, names)
+        return
     assert lam_close(t) == _ref_lam_close(t, _ref_free_vars(t))
     assert lam_close(t, names) == _ref_lam_close(t, names)
 

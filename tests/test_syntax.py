@@ -6,6 +6,7 @@ from plam.syntax import (
     CONSTANTS,
     Free,
     Lam,
+    MAX_NESTING,
     ParseError,
     Var,
     classify,
@@ -63,6 +64,14 @@ def test_parse_errors_carry_position():
         parse("")
 
 
+def test_bad_character_is_reported_before_the_nesting_cap():
+    # the whole input is tokenized before the parser recurses into it
+    text = "(" * (MAX_NESTING + 10) + "x $"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == len(text) - 1
+
+
 def test_alpha_equivalence_is_structural():
     assert parse(r"\x.x") == parse(r"\y.y")
     assert parse(r"\x y.x") != parse(r"\x y.y")
@@ -104,6 +113,12 @@ def test_lam_close_order():
     # "a" is bound first (outermost), so the body references it as index 1
     assert closed == Lam(Lam(App(Var(0), Var(1))))
     assert is_closed(closed)
+
+
+def test_lam_close_rejects_dangling_index():
+    # binding y would capture the dangling index: \x.x x
+    with pytest.raises(ValueError, match="dangling binder index"):
+        lam_close(App(Var(0), Free("y")))
 
 
 def test_classify_hnf_view():
