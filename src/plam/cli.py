@@ -222,7 +222,7 @@ def cmd_tree(args) -> Answer:
 _VERDICT_TEXT = {
     "equal": "equal",
     "different": "different at path {path}: {left} vs {right}",
-    "unknown": "unknown (deficit bound {bound})",
+    "unknown": "unknown (uncertainty bound {bound})",
 }
 
 

@@ -370,16 +370,33 @@ def refute_sim(
     return lab.diff(TermState(m), TermState(n), depth, bisim=False)
 
 
+def _stated(d: Different) -> Tuple:
+    return tuple(d.path), d.left, d.right
+
+
 def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
-    """Replay a certificate: recompute every claimed interval exactly."""
+    """Replay a certificate: recompute every value it states exactly.
+
+    A tree difference refutes bisimilarity only: similarity is strictly
+    contained in the contextual preorder, so `I (+) Omega`, simulated by
+    `I`, may still differ from it in its tree.
+    """
     if isinstance(witness, TreeWitness):
-        return _tree_witness(u, v, witness.level, lab.fuel) is not None
-    du, dv = lab.trans(u, witness.label), lab.trans(v, witness.label)
-    if bisim:
-        left = (du.lower(witness.block), du.upper(witness.block))
-        right = (dv.lower(witness.block), dv.upper(witness.block))
-        if left != witness.left or right != witness.right:
+        if not bisim:
             return False
+        found = _tree_witness(u, v, witness.level, lab.fuel)
+        return (
+            found is not None
+            and isinstance(witness.detail, Different)
+            and _stated(found.detail) == _stated(witness.detail)
+        )
+    du, dv = lab.trans(u, witness.label), lab.trans(v, witness.label)
+    image = witness.block if bisim else witness.image or ()
+    left = (du.lower(witness.block), du.upper(witness.block))
+    right = (dv.lower(image), dv.upper(image))
+    if left != witness.left or right != witness.right:
+        return False
+    if bisim:
         if not _disjoint(left, right):
             return False
         # the block is closed: every joint-support state outside it is
@@ -387,12 +404,7 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
         outside = (du.distr.support() | dv.distr.support()) - set(witness.block)
         keys = set(witness.sub) | {(s2, s1) for s1, s2 in witness.sub}
     else:
-        if du.lower(witness.block) != witness.left[0]:
-            return False
-        image = witness.image if witness.image is not None else ()
-        if dv.upper(image) != witness.right[1]:
-            return False
-        if witness.left[0] <= witness.right[1]:
+        if left[0] <= right[1]:
             return False
         # every dropped right-side state must be refuted against the whole
         # block; one equal to a block state never is, so it cannot be dropped

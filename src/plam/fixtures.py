@@ -1,43 +1,28 @@
 """Worked-example fixtures exercised by the `fixtures` CLI command.
 
-Each fixture replays a hand-checkable computation and compares against
-its expected exact value. Tests reuse this registry.
+`CASES` is one table of rows (name, computation, expected exact value),
+both sides built only when the fixture runs, and `check` compares the two
+with `==`. A computation returns a plain value of the facts it checks: for
+an evaluation, its distribution and exactness; for a tree, its deficit plus
+each entry's (head, offset, child trees, weight); for a tree comparison, the
+verdict's repr; for a game, whether a witness was found and whether it
+replays. Tests reuse `FIXTURES`, the (name, check) pairs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import Fraction as Q
+from functools import partial
 from typing import Callable, List, Tuple
 
-from .assign import AssignmentProblem, AssignmentSolution, Infeasible, assignment_solve
+from .assign import AssignmentProblem, Infeasible, assignment_solve
 from .bigstep import eval_fuel
-from .equiv import (
-    Apply,
-    HnfState,
-    Lab,
-    TAU,
-    TermState,
-    applicative_compare,
-    refute_bisim,
-    refute_sim,
-    transitions,
-    verify_witness,
-)
-from .prob import Distr, Dyadic, ONE, ZERO
+from .equiv import Apply, HnfState, Lab, TAU, TermState, applicative_compare
+from .equiv import refute_bisim, refute_sim, transitions, verify_witness
+from .prob import Distr, Dyadic, HALF, ONE, ZERO
 from .smallstep import head_step, spine_step, step_n
-from .syntax import (
-    App,
-    Choice,
-    DELTA,
-    F,
-    HID,
-    I,
-    OMEGA,
-    T,
-    THETA,
-    parse,
-)
-from .trees import Different, Equal, Unknown, prob_tree, tree_eq
+from .syntax import App, Choice, DELTA, F, HID, I, OMEGA, T, THETA, parse
+from .trees import prob_tree, tree_eq
 
 D = Dyadic.parse
 
@@ -49,239 +34,165 @@ M48 = parse(r"\x.x (Omega (+) I)")
 N48 = parse(r"\x.(x Omega) (+) (x I)")
 THETA_Y = App(THETA, parse(r"\f.y (+) y f"))
 
+DUPLICATED = [(r"\y.T", "1/4"), (r"\y.F", "1/4"), ("I", "1/2")]
+FUELS = (0, 1, 2, 8, 16, 32)
+REDEX = r"(\x.(\y.x) y) z"
+ETA = (("y", r"\z.y z"), ("I", r"\x y.x y"))  # pairs equal by η at every level
+
 
 def _distr(pairs) -> Distr:
     return Distr([(parse(src), D(p)) for src, p in pairs])
 
 
-def _check(actual, expected) -> Tuple[bool, str]:
-    return actual == expected, f"expected {expected!r}, got {actual!r}"
+def _bound(res):
+    """An `Approx` as its distribution and exactness, which fix its deficit."""
+    return res.distr, res.exact
 
 
-def fx_eval_duplicator() -> Tuple[bool, str]:
-    expected = _distr([(r"\y.T", "1/4"), (r"\y.F", "1/4"), ("I", "1/2")])
-    res = eval_fuel(parse("Delta (T (+) F)"), 2)
-    ok = res.distr == expected and res.deficit == ZERO
-    return ok, f"got {res!r}"
+def _tree(pt):
+    """A tree as its deficit plus each entry's (head, offset, child trees, weight)."""
+    entries = ((vt.head, vt.offset, tuple(map(_tree, vt.args)), w) for vt, w in pt.entries)
+    return pt.deficit, tuple(entries)
 
 
-def fx_eval_omega() -> Tuple[bool, str]:
-    for fuel in (0, 1, 2, 8, 16, 32):
-        res = eval_fuel(OMEGA, fuel)
-        if res.distr or res.deficit != ONE:
-            return False, f"fuel {fuel} gave {res!r}"
-    return True, "bottom at all tested fuels"
+def _verdict(m, n, level: int, fuel: int) -> str:
+    return repr(tree_eq(prob_tree(m, level, fuel), prob_tree(n, level, fuel)))
 
 
-def fx_eval_hidden() -> Tuple[bool, str]:
-    res = eval_fuel(HID, 1)
-    return _check(res.distr, _distr([("I", "1/2")]))
-
-
-def fx_eval_self_application() -> Tuple[bool, str]:
-    for n in range(1, 13):
-        res = eval_fuel(MM, n)
-        expected = Distr([(parse("y"), ONE - Dyadic(1, n))])
-        if res.distr != expected:
-            return False, f"fuel {n} gave {res!r}"
-    return True, "mass 1-2^-n for n in 1..12"
-
-
-def fx_eval_separation_pair() -> Tuple[bool, str]:
-    left = eval_fuel(App(App(App(M24, OMEGA), I), DELTA), 5)
-    right = eval_fuel(App(App(App(N24, OMEGA), I), DELTA), 5)
-    ok = left.distr == _distr([("I", "1/4")]) and right.distr == _distr([("I", "1/2")])
-    return ok, f"got {left!r} and {right!r}"
-
-
-def fx_eval_context_mass() -> Tuple[bool, str]:
-    ctx_body = parse(r"\v.(v I Omega) (v I Omega)")
-    hole = parse(r"\x y.x (+) y")
-    return _check(eval_fuel(App(ctx_body, hole), 8).mass, D("1/4"))
-
-
-def fx_head_steps() -> Tuple[bool, str]:
-    x = parse("x")
-    cases = [
-        (head_step(OMEGA), ((ONE, OMEGA),)),
-        (head_step(Choice(x, x)), ((ONE, x),)),
-        (head_step(Choice(T, F)), ((Dyadic(1, 1), T), (Dyadic(1, 1), F))),
-        (head_step(parse(r"(\x.(\y.x) y) z")), ((ONE, parse(r"(\y.z) y")),)),
-        (spine_step(parse(r"(\x.(\y.x) y) z")), ((ONE, parse(r"(\x.x) z")),)),
-        (spine_step(parse(r"\x.I I")), ((ONE, parse(r"\x.I")),)),
-    ]
-    for i, (actual, expected) in enumerate(cases):
-        if actual != expected:
-            return False, f"case {i}: got {actual!r}"
-    return True, "all step cases match"
-
-
-def fx_step_tables() -> Tuple[bool, str]:
-    cases = [
-        (step_n(Choice(OMEGA, I), 2), _distr([("I", "1/2")])),
-        (step_n(I, 0), _distr([("I", "1")])),
-        (step_n(MM, 4), Distr([(parse("y"), D("3/4"))])),
-        (
-            step_n(parse("Delta (T (+) F)"), 4),
-            _distr([(r"\y.T", "1/4"), (r"\y.F", "1/4"), ("I", "1/2")]),
-        ),
-        (step_n(OMEGA, 16), Distr()),
-    ]
-    for i, (actual, expected) in enumerate(cases):
-        if actual != expected:
-            return False, f"case {i}: got {actual!r}"
-    return True, "step tables match"
-
-
-def fx_tree_level1() -> Tuple[bool, str]:
-    pt = prob_tree(THETA_Y, 1, 8)
-    if pt.deficit != ZERO or len(pt.entries) != 1:
-        return False, f"got {pt!r}"
-    vt, w = pt.entries[0]
-    ok = w == ONE and vt.head == "y" and vt.args == ()
-    return ok, f"got head {vt.head} weight {w}"
-
-
-def fx_tree_level2() -> Tuple[bool, str]:
-    pt = prob_tree(THETA_Y, 2, 8)
-    if pt.deficit != ZERO or len(pt.entries) != 2:
-        return False, f"got {pt!r}"
-    half = Dyadic(1, 1)
-    heads = sorted((vt.head, len(vt.args), w) for vt, w in pt.entries)
-    ok = all(w == half for _, _, w in heads) and [h for h, _, _ in heads] == ["y", "y"]
-    # one tree keeps the pure η-tail (no explicit child), the other has the
-    # single explicit child whose level-1 distribution is head y, mass 1
-    by_args = sorted(pt.entries, key=lambda kv: len(kv[0].args))
-    plain, applied = by_args[0][0], by_args[1][0]
-    ok = ok and plain.args == () and plain.offset == 0
-    ok = ok and len(applied.args) == 1 and applied.offset == -1
-    child = applied.args[0]
-    ok = ok and len(child.entries) == 1 and child.entries[0][0].head == "y"
-    ok = ok and child.entries[0][1] == ONE and child.deficit == ZERO
-    # the two entries, each value tree shown with the level its tree holds
-    shown = ", ".join(
-        f"(VT(l{pt.level} {vt.head} d{vt.offset} args{len(vt.args)}), {w!r})" for vt, w in pt.entries
-    )
-    return ok, f"got ({shown})"
-
-
-def fx_tree_eta_pairs() -> Tuple[bool, str]:
-    for lvl in range(1, 5):
-        v1 = tree_eq(prob_tree(parse("y"), lvl, 4), prob_tree(parse(r"\z.y z"), lvl, 4))
-        v2 = tree_eq(prob_tree(I, lvl, 4), prob_tree(parse(r"\x y.x y"), lvl, 4))
-        if not (isinstance(v1, Equal) and isinstance(v2, Equal)):
-            return False, f"level {lvl}: {v1!r}, {v2!r}"
-    return True, "η-pairs equal at levels 1..4"
-
-
-def fx_tree_unknown() -> Tuple[bool, str]:
-    v = tree_eq(prob_tree(MM, 2, 6), prob_tree(parse("y"), 2, 6))
-    ok = isinstance(v, Unknown) and v.bound == Dyadic(1, 6)
-    return ok, f"got {v!r}"
-
-
-def fx_tree_separation() -> Tuple[bool, str]:
-    v = tree_eq(prob_tree(M24, 2, 8), prob_tree(N24, 2, 8))
-    return isinstance(v, Different), f"got {v!r}"
-
-
-def fx_transitions() -> Tuple[bool, str]:
-    res = transitions(TermState(Choice(T, F)), TAU, 4)
-    half = Dyadic(1, 1)
-    expected = Distr([(HnfState(T.body), half), (HnfState(F.body), half)])
-    if res.distr != expected or not res.exact:
-        return False, f"got {res.distr!r}"
-    hs = HnfState(parse(r"\x.x (Omega (+) I)").body)
-    res2 = transitions(hs, Apply(I), 4)
-    expected2 = Distr([(TermState(App(I, Choice(OMEGA, I))), ONE)])
-    if res2.distr != expected2:
-        return False, f"got {res2.distr!r}"
-    res3 = transitions(TermState(T), Apply(I), 4)
-    return (not res3.distr and res3.exact), f"got {res3.distr!r}"
-
-
-def fx_bisim_refutation() -> Tuple[bool, str]:
-    w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
+def _game(m, n, bisim: bool, depth: int, fuel: int, pool):
+    """Whether a refutation of m against n is found, whether it replays,
+    and the block masses it states."""
+    w = (refute_bisim if bisim else refute_sim)(m, n, depth=depth, fuel=fuel, pool=pool)
     if w is None:
-        return False, "no witness found"
-    lab = Lab(fuel=6, pool=(OMEGA, I))
-    m, n = TermState(M24), TermState(N24)
-    if not verify_witness(m, n, w, lab, bisim=True):
-        return False, "witness replay failed"
-    none = refute_bisim(I, parse(r"\x y.x y"), depth=8, fuel=6, pool=(OMEGA, I))
-    return none is None, f"η-pair gave {none!r}"
+        return False, False, []
+    replays = verify_witness(TermState(m), TermState(n), w, Lab(fuel=fuel, pool=pool), bisim)
+    return True, replays, w.mass_pairs()
 
 
-def fx_sim_refutation() -> Tuple[bool, str]:
-    w1 = refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
-    w2 = refute_sim(N48, M48, depth=6, fuel=6, pool=(I,))
-    if w1 is None or w2 is None:
-        return False, f"got {w1!r}, {w2!r}"
-    lab = Lab(fuel=6, pool=(I,))
-    ok1 = verify_witness(TermState(M48), TermState(N48), w1, lab, bisim=False)
-    ok2 = verify_witness(TermState(N48), TermState(M48), w2, lab, bisim=False)
-    pairs = {(str(l), str(r)) for l, r in w1.mass_pairs() + w2.mass_pairs()}
-    expected = {("1", "1/2"), ("1/2", "0")}
-    return ok1 and ok2 and expected <= pairs, f"mass pairs {sorted(pairs)}"
+def _solve(p, r):
+    """An infeasible problem's witness, or whether the solution checks and its shares."""
+    problem = AssignmentProblem(p, r)
+    out = assignment_solve(problem)
+    return out.witness if isinstance(out, Infeasible) else (out.check(problem), out.shares)
 
 
-def fx_appcmp_separation() -> Tuple[bool, str]:
-    reports = applicative_compare(M24, N24, [(OMEGA, I, DELTA)], fuel=8)
-    r = reports[0]
-    ok = (
-        r.left.mass == D("1/4")
-        and r.right.mass == D("1/2")
-        and r.verdict == "RightExceeds"
-    )
-    return ok, f"got {r!r}"
-
-
-def fx_assignment() -> Tuple[bool, str]:
-    bad = AssignmentProblem(
-        [Fraction(3, 4), Fraction(1, 2)],
-        {frozenset({1}): Fraction(1, 2), frozenset({2}): Fraction(1, 2)},
-    )
-    verdict = assignment_solve(bad)
-    if not isinstance(verdict, Infeasible) or verdict.witness != frozenset({1}):
-        return False, f"got {verdict!r}"
-    good = AssignmentProblem(
-        [Fraction(1, 2), Fraction(1, 2)], {frozenset({1, 2}): Fraction(1)}
-    )
-    sol = assignment_solve(good)
-    ok = isinstance(sol, AssignmentSolution) and sol.check(good)
-    ok = ok and sol.share(1, {1, 2}) == Fraction(1, 2)
-    ok = ok and sol.share(2, {1, 2}) == Fraction(1, 2)
-    return ok, f"got {getattr(sol, 'shares', sol)!r}"
-
-
-FIXTURES: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
-    ("eval-duplicator-choice", fx_eval_duplicator),
-    ("eval-omega-divergence", fx_eval_omega),
-    ("eval-hidden-half", fx_eval_hidden),
-    ("eval-self-application", fx_eval_self_application),
-    ("eval-separation-pair", fx_eval_separation_pair),
-    ("eval-context-mass", fx_eval_context_mass),
-    ("small-step-cases", fx_head_steps),
-    ("small-step-tables", fx_step_tables),
-    ("tree-level-1", fx_tree_level1),
-    ("tree-level-2", fx_tree_level2),
-    ("tree-eta-pairs", fx_tree_eta_pairs),
-    ("tree-unknown-deficit", fx_tree_unknown),
-    ("tree-separation", fx_tree_separation),
-    ("markov-transitions", fx_transitions),
-    ("bisim-refutation", fx_bisim_refutation),
-    ("sim-refutation", fx_sim_refutation),
-    ("appcmp-separation", fx_appcmp_separation),
-    ("assignment-solver", fx_assignment),
+CASES: List[Tuple[str, Callable[[], object], Callable[[], object]]] = [
+    (
+        "eval-duplicator-choice",
+        lambda: _bound(eval_fuel(parse("Delta (T (+) F)"), 2)),
+        lambda: (_distr(DUPLICATED), True),
+    ),
+    (
+        "eval-omega-divergence",
+        lambda: {f: _bound(eval_fuel(OMEGA, f)) for f in FUELS},
+        lambda: {f: (Distr(), False) for f in FUELS},
+    ),
+    ("eval-hidden-half", lambda: eval_fuel(HID, 1).distr, lambda: _distr([("I", "1/2")])),
+    (
+        "eval-self-application",
+        lambda: {n: eval_fuel(MM, n).distr for n in range(1, 13)},
+        lambda: {n: Distr([(parse("y"), ONE - Dyadic(1, n))]) for n in range(1, 13)},
+    ),
+    (
+        "eval-separation-pair",
+        lambda: [eval_fuel(App(App(App(m, OMEGA), I), DELTA), 5).distr for m in (M24, N24)],
+        lambda: [_distr([("I", "1/4")]), _distr([("I", "1/2")])],
+    ),
+    (
+        "eval-context-mass",
+        lambda: eval_fuel(parse(r"(\v.(v I Omega) (v I Omega)) (\x y.x (+) y)"), 8).mass,
+        lambda: D("1/4"),
+    ),
+    (
+        "small-step-cases",
+        lambda: [head_step(parse(src)) for src in ("Omega", "x (+) x", "T (+) F", REDEX)]
+        + [spine_step(parse(src)) for src in (REDEX, r"\x.I I")],
+        lambda: [((ONE, OMEGA),), ((ONE, parse("x")),), ((HALF, T), (HALF, F))]
+        + [((ONE, parse(src)),) for src in (r"(\y.z) y", r"(\x.x) z", r"\x.I")],
+    ),
+    (
+        "small-step-tables",
+        lambda: [step_n(Choice(OMEGA, I), 2), step_n(I, 0), step_n(MM, 4)]
+        + [step_n(parse("Delta (T (+) F)"), 4), step_n(OMEGA, 16)],
+        lambda: [_distr([("I", "1/2")]), _distr([("I", "1")]), _distr([("y", "3/4")])]
+        + [_distr(DUPLICATED), Distr()],
+    ),
+    ("tree-level-1", lambda: _tree(prob_tree(THETA_Y, 1, 8)), lambda: (ZERO, (("y", 0, (), ONE),))),
+    # one entry has the explicit child THETA_Y, whose level-1 tree is head y
+    # with mass 1; the other keeps the pure η-tail
+    (
+        "tree-level-2",
+        lambda: _tree(prob_tree(THETA_Y, 2, 8)),
+        lambda: (ZERO, (("y", -1, ((ZERO, (("y", 0, (), ONE),)),), HALF), ("y", 0, (), HALF))),
+    ),
+    (
+        "tree-eta-pairs",
+        lambda: {k: [_verdict(parse(a), parse(b), k, 4) for a, b in ETA] for k in range(1, 5)},
+        lambda: {k: ["Equal", "Equal"] for k in range(1, 5)},
+    ),
+    ("tree-unknown-deficit", lambda: _verdict(MM, parse("y"), 2, 6), lambda: "Unknown(bound=1/64)"),
+    (
+        "tree-separation",
+        lambda: _verdict(M24, N24, 2, 8),
+        lambda: "Different(path=[], left=1, right=0)",
+    ),
+    (
+        "markov-transitions",
+        lambda: [_bound(transitions(TermState(Choice(T, F)), TAU, 4))]
+        + [_bound(transitions(s, Apply(I), 4)) for s in (HnfState(M48.body), TermState(T))],
+        lambda: [(Distr([(HnfState(T.body), HALF), (HnfState(F.body), HALF)]), True)]
+        + [(Distr([(TermState(App(I, Choice(OMEGA, I))), ONE)]), True), (Distr(), True)],
+    ),
+    (
+        "bisim-refutation",
+        lambda: (
+            _game(M24, N24, True, 8, 6, (OMEGA, I))[:2],
+            _game(I, parse(r"\x y.x y"), True, 8, 6, (OMEGA, I)),
+        ),
+        lambda: ((True, True), (False, False, [])),
+    ),
+    (
+        "sim-refutation",
+        lambda: (_game(M48, N48, False, 6, 6, (I,)), _game(N48, M48, False, 6, 6, (I,))),
+        lambda: (
+            (True, True, [(ONE, HALF), (ONE, ZERO), (HALF, ZERO)]),
+            (True, True, [(HALF, ZERO), (ONE, ZERO), (ONE, HALF)]),
+        ),
+    ),
+    (
+        "appcmp-separation",
+        lambda: [
+            (r.left.mass, r.right.mass, r.verdict)
+            for r in applicative_compare(M24, N24, [(OMEGA, I, DELTA)], fuel=8)
+        ],
+        lambda: [(D("1/4"), D("1/2"), "RightExceeds")],
+    ),
+    (
+        "assignment-solver",
+        lambda: (
+            _solve([Q(3, 4), Q(1, 2)], {frozenset({1}): Q(1, 2), frozenset({2}): Q(1, 2)}),
+            _solve([Q(1, 2), Q(1, 2)], {frozenset({1, 2}): Q(1)}),
+        ),
+        lambda: (
+            frozenset({1}),
+            (True, {(1, frozenset({1, 2})): Q(1, 2), (2, frozenset({1, 2})): Q(1, 2)}),
+        ),
+    ),
 ]
 
 
+def check(compute: Callable[[], object], expect: Callable[[], object]) -> Tuple[bool, str]:
+    """Compute a row's value and compare it with its expected exact value;
+    a crash is a failure, not an abort."""
+    try:
+        actual, expected = compute(), expect()
+    except Exception as exc:
+        return False, f"raised {exc!r}"
+    return actual == expected, f"expected {expected!r}, got {actual!r}"
+
+
+FIXTURES = [(name, partial(check, compute, expect)) for name, compute, expect in CASES]
+
+
 def run_fixtures() -> List[Tuple[str, bool, str]]:
-    out = []
-    for name, fn in FIXTURES:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"raised {exc!r}"
-        out.append((name, ok, detail))
-    return out
+    return [(name, *fn()) for name, fn in FIXTURES]

@@ -107,7 +107,7 @@ class Distr:
     all operations build fresh distributions.
     """
 
-    __slots__ = ("_weights", "_mass", "_hash")
+    __slots__ = ("_weights", "_mass")
 
     def __init__(self, pairs: Iterable[Tuple[object, Dyadic]] = ()):
         weights: Dict[object, Dyadic] = {}
@@ -129,7 +129,6 @@ class Distr:
             raise ValueError(f"distribution mass {mass} exceeds 1")
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_mass", mass)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Distr is immutable")
@@ -169,13 +168,6 @@ class Distr:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Distr) and self._weights == other._weights
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._weights.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{t!r}: {w}" for t, w in self._weights.items())

@@ -5,11 +5,15 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from plam import fixtures
 from plam.cli import _build_parser, main
+from plam.fixtures import CASES, FIXTURES, check
+from plam.prob import ONE
 from plam.syntax import MAX_NESTING
 
 M24, N24 = r"\x y z.z (x (+) y)", r"\x y z.(z x) (+) (z y)"
@@ -304,6 +308,42 @@ def test_fixtures_all_pass(capsys):
     assert payload["passed"] == len(payload["results"]) >= 18
 
 
+def test_fixture_names_are_pinned():
+    assert [name for name, _ in FIXTURES] == [
+        "eval-duplicator-choice",
+        "eval-omega-divergence",
+        "eval-hidden-half",
+        "eval-self-application",
+        "eval-separation-pair",
+        "eval-context-mass",
+        "small-step-cases",
+        "small-step-tables",
+        "tree-level-1",
+        "tree-level-2",
+        "tree-eta-pairs",
+        "tree-unknown-deficit",
+        "tree-separation",
+        "markov-transitions",
+        "bisim-refutation",
+        "sim-refutation",
+        "appcmp-separation",
+        "assignment-solver",
+    ]
+    assert [name for name, _, _ in CASES] == [name for name, _ in FIXTURES]
+
+
+def test_a_fixture_with_a_wrong_expected_value_fails(capsys, monkeypatch):
+    name, compute, _ = CASES[2]
+    rows = list(FIXTURES)
+    rows[2] = (name, partial(check, compute, lambda: ONE))
+    monkeypatch.setattr(fixtures, "FIXTURES", rows)
+    code, out, _ = run(capsys, "fixtures")
+    assert code == 1
+    assert f"FAIL {name}: expected Dyadic(1), got Distr({{<\\x.x>: 1/2}})\n" in out
+    assert out.count("PASS ") == 17
+    assert out.endswith("17 passed, 1 failed\n")
+
+
 def test_fixtures_output_does_not_depend_on_the_hash_seed():
     outs = set()
     for seed in ("1", "2"):
@@ -374,16 +414,16 @@ tree difference at level 2: Different(path=[], left=1, right=0)
     ),
     "compare-tree-unknown": (
         ["compare-tree", r"(\x.y (+) x x) (\x.y (+) x x)", "y", "--fuel", "6"],
-        "unknown (deficit bound 1/64)\n",
+        "unknown (uncertainty bound 1/64)\n",
     ),
     # a node's missing mass is counted once, however many children are short
     "compare-tree-two-short-children": (
         ["compare-tree", r"\x.x Omega Omega", r"\x.x y y", "--level", "3"],
-        "unknown (deficit bound 1)\n",
+        "unknown (uncertainty bound 1)\n",
     ),
     "compare-tree-three-way-depth-6": (
         ["compare-tree", _triple_nest("Omega", 6), _triple_nest("y", 6), "--level", "8"],
-        "unknown (deficit bound 1)\n",
+        "unknown (uncertainty bound 1)\n",
     ),
     "trace": (
         ["trace", "a (+) b"],

@@ -7,6 +7,7 @@ from plam.equiv import (
     Lab,
     TAU,
     TermState,
+    TreeWitness,
     Witness,
     applicative_compare,
     refute_bisim,
@@ -18,6 +19,7 @@ from plam.fixtures import M24, M48, N24, N48
 from plam.prob import Distr, Dyadic, ONE, ZERO
 from plam.smallstep import converge
 from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, ResourceCapExceeded, Var, parse
+from plam.trees import Different
 
 D = Dyadic.parse
 
@@ -286,6 +288,47 @@ def test_sim_witness_with_an_edited_right_upper_bound_rejected():
     # a lower right bound still separates, so only the replay rejects it
     assert w.right[1] > ZERO and w.left[0] > ZERO
     bad = Witness(w.label, w.block, w.left, (w.right[0], ZERO), w.sub, image=w.image)
+    assert not verify_witness(TermState(M48), TermState(N48), bad, lab, bisim=False)
+
+
+@pytest.mark.parametrize(
+    "path, left, right",
+    [((7, 3), Dyadic(1, 5), "nonsense"), ((1,), ONE, ZERO), ((), D("1/2"), ZERO), ((), ONE, D("1/4"))],
+    ids=["all", "path", "left", "right"],
+)
+def test_tree_witness_with_a_forged_difference_rejected(path, left, right):
+    # M24 and N24 differ at level 2, at the root with masses 1 and 0,
+    # not as the forged detail states
+    lab = Lab(fuel=8, tree_level=2)
+    w = refute_bisim(M24, N24, depth=2, fuel=8, tree_level=2)
+    assert isinstance(w, TreeWitness) and repr(w.detail) == "Different(path=[], left=1, right=0)"
+    assert verify_witness(TermState(M24), TermState(N24), w, lab, bisim=True)
+    forged = TreeWitness(2, Different(path, left, right))
+    assert not verify_witness(TermState(M24), TermState(N24), forged, lab, bisim=True)
+
+
+def test_tree_witness_refutes_bisimilarity_only():
+    # a tree difference does not refute similarity: I (+) Omega is
+    # simulated by I, though its limit tree differs from I's
+    lab = Lab(fuel=8, tree_level=2)
+    w = refute_bisim(M24, N24, depth=2, fuel=8, tree_level=2)
+    assert verify_witness(TermState(M24), TermState(N24), w, lab, bisim=True)
+    assert not verify_witness(TermState(M24), TermState(N24), w, lab, bisim=False)
+
+
+@pytest.mark.parametrize("end", ["left upper", "right lower"])
+def test_sim_witness_with_an_edited_displayed_end_rejected(end):
+    # the true intervals are 1..1 and 1/2..1/2; the edited ends still
+    # leave left lower above right upper, so only a full replay rejects them
+    lab = Lab(fuel=6, pool=(I,))
+    w = refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
+    assert (w.left, w.right) == ((ONE, ONE), (D("1/2"), D("1/2")))
+    left, right = w.left, w.right
+    if end == "left upper":
+        left = (ONE, D("7/8"))
+    else:
+        right = (D("5/8"), D("1/2"))
+    bad = Witness(w.label, w.block, left, right, w.sub, image=w.image)
     assert not verify_witness(TermState(M48), TermState(N48), bad, lab, bisim=False)
 
 
