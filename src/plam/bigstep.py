@@ -11,6 +11,19 @@ which the give-up rule never fired is the same at every larger fuel:
 `_eval` returns its `need`, the least such fuel, or ∞ (`math.inf`) if
 it gave up, so needs combine by `max` alone.
 
+Inside an evaluation a result is a dict from hnf to a positive integer
+numerator plus one exponent e shared by all of them: a weight is n/2^e,
+exact, with no `Dyadic` per weight. A choice shifts its sides to their
+larger exponent, merges them and adds 1 to it; an application multiplies
+the function part's numerators into its bodies' and shifts them to one
+exponent. A sum with a single part of coefficient 1, such as a choice
+with one empty side or the body of a function part that is one
+abstraction of numerator 1, returns that part's dict unchanged with its
+exponent raised, in O(1) time. Dicts are therefore shared between
+results, and no stored dict is ever mutated. `_approx` builds the public
+`Distr` of canonical `Dyadic`s once per distinct result and keeps it with
+the result, so later lookups of that result reuse it.
+
 An evaluation keeps two tables, keyed by α-equivalence (equality of
 nameless terms) and dropped when its caller returns: a memo, holding a
 result under (term, fuel) when its `need` exceeds that fuel, which is
@@ -23,39 +36,67 @@ from __future__ import annotations
 
 import math
 
-from .prob import Approx, Distr, HALF, point
+from .prob import Approx, Distr, Dyadic
 from .syntax import App, Choice, Free, Lam, Term, Var, substitute
 
 
-def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> tuple[Distr, float]:
-    # the memo lookups stay inline: one Python frame per term level
+def _mix(parts: list, scale: int) -> tuple[dict, int]:
+    """Sum the parts (c, numerators, e), an entry n of which weighs
+    c·n/2^e, over their largest e plus `scale`. A lone part with c = 1 is
+    returned as it is, and one with c = 1 at the largest e is copied whole;
+    no part's dict is changed."""
+    parts = [p for p in parts if p[1]]
+    if not parts:
+        return {}, 0
+    top = max(e for _, _, e in parts)
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1], top + scale
+    base = next((p for p in parts if p[0] == 1 and p[2] == top), None)
+    out = dict(base[1]) if base else {}
+    for p in parts:
+        if p is not base:
+            c, weights, e = p
+            shift = top - e
+            for h, n in weights.items():
+                out[h] = out.get(h, 0) + (c * n << shift)
+    exp = top + scale
+    mass = sum(out.values())
+    if mass > 1 << exp:
+        raise ValueError(f"distribution mass {Dyadic(mass, exp)} exceeds 1")
+    return out, exp
+
+
+def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> list:
+    # a result is [numerators, exponent, need, its Approx once built]; the
+    # memo lookups stay inline: one Python frame per term level
     out = memo.get(term)
-    if out is None or out[1] > fuel:
+    if out is None or out[2] > fuel:
         out = memo.get((term, fuel))
     if out is not None:
         return out
     if isinstance(term, (Var, Free)):
-        out = (point(term), 0)
+        out = [{term: 1}, 0, 0, None]
     elif isinstance(term, Lam):
-        body, need = _eval(term.body, fuel, memo, beta)
-        out = (body.map_support(Lam), need)
+        body, exp, need, _ = _eval(term.body, fuel, memo, beta)
+        out = [{Lam(h): n for h, n in body.items()}, exp, need, None]
     elif isinstance(term, Choice):
-        # both halves' halved pairs go into one Distr, for the same reason
-        # as in the application rule below
-        left, need = _eval(term.left, fuel, memo, beta)
-        right, right_need = _eval(term.right, fuel, memo, beta)
-        pairs = [(h, w * HALF) for side in (left, right) for h, w in side.items()]
-        out = (Distr(pairs), max(need, right_need))
+        left = _eval(term.left, fuel, memo, beta)
+        right = _eval(term.right, fuel, memo, beta)
+        if left is right:  # one memo entry: half of it twice is all of it
+            out = left
+        else:
+            parts = [(1, left[0], left[1]), (1, right[0], right[1])]
+            out = [*_mix(parts, 1), max(left[2], right[2]), None]
     else:
         # application: evaluate the function part, then dispatch on its
-        # support; collect every branch's pairs and build the result once:
-        # summing Distrs branch by branch re-merges the whole support on
-        # every branch
-        pairs = []
-        fun, need = _eval(term.fun, fuel, memo, beta)
-        for h, w in fun.items():
+        # support; every branch is one part of a single sum, so the
+        # result's dict is built once, not re-merged branch by branch
+        fun, exp, need, _ = _eval(term.fun, fuel, memo, beta)
+        stuck = {}
+        parts = [(1, stuck, 0)]
+        for h, n in fun.items():
             if not isinstance(h, Lam):
-                pairs.append((App(h, term.arg), w))
+                stuck[App(h, term.arg)] = n
             elif fuel == 0:
                 need = math.inf
             else:
@@ -63,19 +104,24 @@ def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> tuple[Distr, float]:
                 body = beta.get(redex)
                 if body is None:
                     body = beta[redex] = substitute(h.body, term.arg)
-                res, body_need = _eval(body, fuel - 1, memo, beta)
-                pairs.extend((h2, v * w) for h2, v in res.items())
-                need = max(need, body_need + 1)
-        out = (Distr(pairs), need)
-    memo[(term, fuel) if out[1] > fuel else term] = out
+                res = _eval(body, fuel - 1, memo, beta)
+                parts.append((n, res[0], res[1]))
+                need = max(need, res[2] + 1)
+        out = [*_mix(parts, exp), need, None]
+    memo[(term, fuel) if out[2] > fuel else term] = out
     return out
 
 
 def _approx(term: Term, fuel: int, memo: dict, beta: dict) -> Approx:
+    if not isinstance(fuel, int):
+        raise TypeError(f"fuel must be an int, not {type(fuel).__name__}")
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    distr = _eval(term, fuel, memo, beta)[0]
-    return Approx(distr, not distr.deficit)
+    out = _eval(term, fuel, memo, beta)
+    if out[3] is None:
+        distr = Distr((h, Dyadic(n, out[1])) for h, n in out[0].items())
+        out[3] = Approx(distr, not distr.deficit)
+    return out[3]
 
 
 def eval_fuel(term: Term, fuel: int) -> Approx:

@@ -382,9 +382,10 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
     `I`, may still differ from it in its tree.
     """
     if isinstance(witness, TreeWitness):
-        if not bisim:
+        level = witness.level
+        if not bisim or not isinstance(level, int) or level < 0:
             return False
-        found = _tree_witness(u, v, witness.level, lab.fuel)
+        found = _tree_witness(u, v, level, lab.fuel)
         return (
             found is not None
             and isinstance(witness.detail, Different)

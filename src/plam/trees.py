@@ -107,14 +107,20 @@ class ProbTree(_Keyed):
         return f"PT(l{self.level} {len(self.entries)} keys deficit={self.deficit})"
 
 
+def _check_level(level: int) -> None:
+    if not isinstance(level, int):
+        raise TypeError(f"tree level must be an int, not {type(level).__name__}")
+    if level < 0:
+        raise ValueError("tree level must be non-negative")
+
+
 def bottom() -> ProbTree:
     return ProbTree(0, Approx(Distr(), False))
 
 
 def eta_tree(name: str, level: int, depth: int = 0) -> ProbTree:
     """The level-ℓ tree of the bare variable `name` at a given node depth."""
-    if level < 0:
-        raise ValueError("tree level must be non-negative")
+    _check_level(level)
     if level == 0:
         return bottom()
     return ProbTree(level, Approx(point(ValueTree(depth, name, 0, ())), True))
@@ -165,8 +171,7 @@ def prob_tree(m: Term, level: int, fuel: int) -> ProbTree:
     """Group the fuel approximant of m by value tree at the given level;
     every child is evaluated at the same fuel, through one memo and one
     contraction table (`plam.bigstep`) that live for this call only."""
-    if level < 0:
-        raise ValueError("tree level must be non-negative")
+    _check_level(level)
     return _prob_tree(m, level, fuel, 0, {}, {})
 
 

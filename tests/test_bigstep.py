@@ -115,6 +115,29 @@ def test_one_tree_build_shares_its_evaluation_tables(monkeypatch):
     assert _distr_builds(monkeypatch, run) == first > 0
 
 
+def test_evaluation_builds_one_distr_per_distinct_result(monkeypatch):
+    # weights stay integer numerators until the public result is built
+    assert _distr_builds(monkeypatch, lambda: eval_fuel(WALK, 64)) == 1
+    # one tree build turns each distinct child result into a Distr once
+    assert _distr_builds(monkeypatch, lambda: prob_tree(BRANCHING_WALK, 6, 14)) <= 894
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        r"((\x.x) (y (+) z) (+) (y (+) z)) (+) (y (+) z)",
+        r"(\x.x) (\x.x) (y (+) z) (+) ((\x.x) (y (+) z) (+) (y (+) z))",
+        r"(\f.f (f y)) (\x.x (+) z)",
+    ],
+)
+def test_a_shared_result_is_never_changed_by_later_sums(src):
+    # `y (+) z` is one memo entry, reached bare, under an identity and in
+    # sums with itself; a sum that wrote into it would skew the later ones
+    t = parse(src)
+    for fuel in range(5):
+        assert eval_fuel(t, fuel).distr == oracles.eval_fuel(t, fuel)
+
+
 @pytest.mark.parametrize("src", [r"Delta I (+) I (Delta I)", r"I (Delta I) (+) Delta I"])
 def test_a_result_is_reused_only_from_the_fuel_it_needs(src):
     # `Delta I` is reached at fuel 2 and, under `I`, at fuel 1; it needs 2,
@@ -152,6 +175,12 @@ def test_fuel_monotone_on_examples():
 def test_negative_fuel_rejected():
     with pytest.raises(ValueError):
         eval_fuel(parse("I"), -1)
+
+
+def test_non_integer_fuel_rejected():
+    # a fuel of 2.5 never reaches the give-up rule at 0
+    with pytest.raises(TypeError, match="fuel must be an int"):
+        eval_fuel(OMEGA, 2.5)
 
 
 def test_hnf_fixed_point():

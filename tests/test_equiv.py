@@ -307,6 +307,13 @@ def test_tree_witness_with_a_forged_difference_rejected(path, left, right):
     assert not verify_witness(TermState(M24), TermState(N24), forged, lab, bisim=True)
 
 
+@pytest.mark.parametrize("level", [-1, 2.5])
+def test_tree_witness_at_a_level_that_is_no_tree_level_rejected(level):
+    # no tree exists at these levels, so the stated difference is not one
+    forged = TreeWitness(level, Different((), ONE, ZERO))
+    assert not verify_witness(TermState(M24), TermState(N24), forged, Lab(fuel=8), bisim=True)
+
+
 def test_tree_witness_refutes_bisimilarity_only():
     # a tree difference does not refute similarity: I (+) Omega is
     # simulated by I, though its limit tree differs from I's

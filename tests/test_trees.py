@@ -52,6 +52,12 @@ def test_eta_tree_rejects_negative_level():
         eta_tree("y", -1)
 
 
+def test_non_integer_level_rejected():
+    for build in (lambda: prob_tree(parse("Omega"), 1.5, 3), lambda: eta_tree("y", 1.5)):
+        with pytest.raises(TypeError, match="tree level must be an int"):
+            build()
+
+
 def test_eta_tree_shape():
     et = eta_tree("y", 2)
     assert et.deficit == ZERO and len(et.entries) == 1
