@@ -82,11 +82,8 @@ def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> list:
     elif isinstance(term, Choice):
         left = _eval(term.left, fuel, memo, beta)
         right = _eval(term.right, fuel, memo, beta)
-        if left is right:  # one memo entry: half of it twice is all of it
-            out = left
-        else:
-            parts = [(1, left[0], left[1]), (1, right[0], right[1])]
-            out = [*_mix(parts, 1), max(left[2], right[2]), None]
+        parts = [(1, left[0], left[1]), (1, right[0], right[1])]
+        out = [*_mix(parts, 1), max(left[2], right[2]), None]
     else:
         # application: evaluate the function part, then dispatch on its
         # support; every branch is one part of a single sum, so the
