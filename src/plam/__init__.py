@@ -42,7 +42,6 @@ from .assign import (
     AssignmentProblem,
     AssignmentSolution,
     Infeasible,
-    assignment_check,
     assignment_solve,
 )
 

@@ -5,11 +5,20 @@ to supplies r_I. It is feasible when every subset of demands is covered
 by the supplies meeting it (a Hall-type condition); a solution assigns
 shares s_{k,I} ∈ [0,1] with p_k ≤ Σ_{I∋k} s_{k,I}·r_I and Σ_{k∈I} s_{k,I} ≤ 1.
 
-Solving goes through a bipartite feasibility flow with exact rational
-arithmetic: supplies feed subset nodes, demands drain item nodes, and an
-edge I→k exists when k ∈ I. Shares are recovered as flow divided by
-supply. Instance sizes are tiny (n capped), so a plain augmenting-path
-max-flow suffices.
+Solving runs one bipartite max flow with exact rational arithmetic:
+supplies feed subset nodes, demands drain item nodes, and an uncapped
+edge I→k exists when k ∈ I. Instance sizes are tiny (n capped), so a
+plain augmenting-path max flow suffices. When the flow meets every
+demand, the shares are flow divided by supply. Otherwise the flow also
+decides the witness (Ford & Fulkerson, "Maximal flow through a network",
+1956). The shortfall of a set S of demands is Σ_{k∈S} p_k − Σ_{I∩S≠∅} r_I.
+A minimum cut with S on the sink side puts exactly the subsets meeting S
+there too, so it costs Σp minus the shortfall of S: the flow falls short
+of Σp by the largest shortfall, which is positive just when the problem
+is infeasible. The witness is the set of demands that can still reach
+the sink in the final residual graph. It is the sink side of the least
+minimum cut, so it is the unique inclusion-minimal set with the largest
+shortfall, whichever maximum flow was found.
 """
 
 from __future__ import annotations
@@ -47,6 +56,10 @@ class AssignmentProblem:
 
 
 class Infeasible:
+    """A problem with no solution. `witness` is the unique inclusion-minimal
+    set of demands with the largest shortfall, its demand minus the supply
+    of the subsets that meet it; that shortfall is positive."""
+
     def __init__(self, witness: Subset):
         self.witness = witness
 
@@ -54,80 +67,46 @@ class Infeasible:
         return f"Infeasible(witness={sorted(self.witness)})"
 
 
-def assignment_check(problem: AssignmentProblem) -> Union[bool, Infeasible]:
-    """Check the covering condition over all 2ⁿ demand subsets.
-
-    Returns True, or the first violating subset (smallest, in sorted
-    enumeration order).
-    """
-    n = problem.n
-    indices = list(range(1, n + 1))
-    for mask in range(1, 1 << n):
-        chosen = frozenset(i for i in indices if mask & (1 << (i - 1)))
-        demand = sum((problem.p[i - 1] for i in chosen), Fraction(0))
-        supply = sum(
-            (v for subset, v in problem.r.items() if subset & chosen), Fraction(0)
-        )
-        if demand > supply:
-            return Infeasible(chosen)
-    return True
+# A middle edge I→k never saturates: all flow enters through the
+# supplies, whose total is at most 4 095 (one supply of at most 1 for
+# each nonempty subset of at most 12 demands), far below INF. So no
+# minimum cut contains a middle edge.
+INF = Fraction(10**9)
 
 
-def _max_flow(
-    sources: Dict[int, Fraction],
-    sinks: Dict[int, Fraction],
-    edges: List[Tuple[int, int]],
-) -> Dict[Tuple[int, int], Fraction]:
-    """Augmenting-path max flow on a bipartite supply/demand graph.
+def _search(adj, cap, start: int, forward: bool, goal: int = -1) -> Dict[int, int]:
+    """Breadth-first search of the residual graph from `start`, along its
+    edges (`forward`) or against them; maps each node reached to the node
+    it was reached from, and stops once `goal` is reached."""
+    parent = {start: start}
+    queue = [start]
+    for u in queue:
+        for v in adj[u]:
+            if v not in parent and cap[(u, v) if forward else (v, u)] > 0:
+                parent[v] = u
+                if v == goal:
+                    return parent
+                queue.append(v)
+    return parent
 
-    Node 0 is the source, node 1 the sink; capacities are exact
-    Fractions; middle edges are uncapacitated.
-    """
-    INF = Fraction(10**9)
-    cap: Dict[Tuple[int, int], Fraction] = {}
-    adj: Dict[int, List[int]] = {}
 
-    def add_edge(u: int, v: int, c: Fraction):
-        cap[(u, v)] = cap.get((u, v), Fraction(0)) + c
-        cap.setdefault((v, u), Fraction(0))
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for node, c in sources.items():
-        add_edge(0, node, c)
-    for node, c in sinks.items():
-        add_edge(node, 1, c)
-    for u, v in edges:
-        add_edge(u, v, INF)
-
+def _max_flow(adj: Dict[int, List[int]], cap: Dict[Tuple[int, int], Fraction]) -> None:
+    """Augment along shortest residual paths from the source, node 0, to
+    the sink, node 1, until none is left; `cap` becomes the residual
+    capacities, so the flow on an edge is its reverse edge's capacity."""
     while True:
-        parent = {0: 0}
-        queue = [0]
-        while queue and 1 not in parent:
-            u = queue.pop(0)
-            for v in adj.get(u, []):
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
+        parent = _search(adj, cap, 0, True, 1)
         if 1 not in parent:
-            break
-        bottleneck = INF
+            return
+        path = []
         v = 1
         while v != 0:
-            u = parent[v]
-            bottleneck = min(bottleneck, cap[(u, v)])
-            v = u
-        v = 1
-        while v != 0:
-            u = parent[v]
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(cap[edge] for edge in path)
+        for u, v in path:
             cap[(u, v)] -= bottleneck
             cap[(v, u)] += bottleneck
-            v = u
-
-    flow = {}
-    for u, v in edges:
-        flow[(u, v)] = cap[(v, u)]
-    return flow
 
 
 class AssignmentSolution:
@@ -156,21 +135,37 @@ class AssignmentSolution:
 
 
 def assignment_solve(problem: AssignmentProblem) -> Union[AssignmentSolution, Infeasible]:
-    """Disentangle a feasible problem into per-item shares via max flow."""
-    verdict = assignment_check(problem)
-    if isinstance(verdict, Infeasible):
-        return verdict
+    """Disentangle a problem into per-item shares via one max flow, or
+    return the `Infeasible` witness read off its minimum cut."""
     subsets = problem.subsets()
     subset_node = {s: 2 + i for i, s in enumerate(subsets)}
     item_node = {k: 2 + len(subsets) + k for k in range(1, problem.n + 1)}
-    sources = {subset_node[s]: problem.r[s] for s in subsets}
-    sinks = {item_node[k]: problem.p[k - 1] for k in range(1, problem.n + 1)}
-    edges = [(subset_node[s], item_node[k]) for s in subsets for k in s]
-    flow = _max_flow(sources, sinks, edges)
+    cap: Dict[Tuple[int, int], Fraction] = {}
+    adj: Dict[int, List[int]] = {0: [], 1: []}
+
+    def add_edge(u: int, v: int, c: Fraction):
+        cap[(u, v)], cap[(v, u)] = c, Fraction(0)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    for s in subsets:
+        add_edge(0, subset_node[s], problem.r[s])
+    for k, node in item_node.items():
+        add_edge(node, 1, problem.p[k - 1])
+    for s in subsets:
+        for k in s:
+            add_edge(subset_node[s], item_node[k], INF)
+    _max_flow(adj, cap)
+    # a demand that can still reach the sink is one the flow leaves unmet,
+    # or one that could pass its supply on to such a demand
+    reach = _search(adj, cap, 1, False)
+    witness = frozenset(k for k, node in item_node.items() if node in reach)
+    if witness:
+        return Infeasible(witness)
     shares: Dict[Tuple[int, Subset], Fraction] = {}
     for s in subsets:
         for k in s:
-            f = flow[(subset_node[s], item_node[k])]
+            f = cap[(item_node[k], subset_node[s])]
             if f:
                 shares[(k, s)] = f / problem.r[s]
     solution = AssignmentSolution(shares)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 
 from .prob import Approx, Distr, Dyadic
-from .syntax import App, Choice, Free, Lam, Term, Var, substitute
+from .syntax import App, Choice, Free, Lam, Term, Var, _check_count, substitute
 
 
 def _mix(parts: list, scale: int) -> tuple[dict, int]:
@@ -110,10 +110,6 @@ def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> list:
 
 
 def _approx(term: Term, fuel: int, memo: dict, beta: dict) -> Approx:
-    if not isinstance(fuel, int):
-        raise TypeError(f"fuel must be an int, not {type(fuel).__name__}")
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
     out = _eval(term, fuel, memo, beta)
     if out[3] is None:
         distr = Distr((h, Dyadic(n, out[1])) for h, n in out[0].items())
@@ -129,4 +125,5 @@ def eval_fuel(term: Term, fuel: int) -> Approx:
     reused at every fuel at or above the fuel it needed. The bound is
     exact when its deficit is zero: a lower bound of mass 1 is the limit.
     """
+    _check_count(fuel, "fuel")
     return _approx(term, fuel, {}, {})

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .assign import AssignmentProblem, Infeasible, assignment_solve
+from .assign import DEFAULT_N_CAP, AssignmentProblem, Infeasible, assignment_solve
 from .bigstep import eval_fuel
 from .equiv import DEFAULT_POOL_NAMES, TreeWitness, applicative_compare, refute_bisim, refute_sim
 from .fixtures import run_fixtures
@@ -337,6 +337,8 @@ def cmd_assign(args) -> Answer:
     p, r = data.get("p", []), data.get("r", {})
     if not isinstance(p, list) or not isinstance(r, dict):
         raise UsageError('problem file: "p" must be a list and "r" an object')
+    if len(p) > DEFAULT_N_CAP:
+        raise ResourceCapExceeded(f"assignment size {len(p)} exceeds cap {DEFAULT_N_CAP}")
     problem = AssignmentProblem(
         [_number(x) for x in p], {_parse_subset(k): _number(v) for k, v in r.items()}
     )

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .prob import Approx, Dyadic, Distr, ONE
 from .smallstep import converge
-from .syntax import App, Lam, Term, free_vars, is_closed, lam_close, pretty, substitute
+from .syntax import App, Lam, Term, _check_count, free_vars, is_closed, lam_close, pretty, substitute
 from .trees import Different, prob_tree, tree_eq
 
 DEFAULT_POOL_NAMES = ("I", "Omega", "Delta", "T", "F")
@@ -99,6 +99,7 @@ def transitions(state, label, fuel: int) -> Approx:
     binder-peeled hnf states; a distinguished hnf consumes an Apply label
     by substitution. All other pairs have no transitions at all (exactly).
     """
+    _check_count(fuel, "fuel")
     if isinstance(state, TermState) and label is TAU:
         if not is_closed(state.term):
             raise ValueError("term states must be closed terms")
@@ -194,10 +195,8 @@ class Lab:
     """Shared configuration and memo tables for the refutation games."""
 
     def __init__(self, fuel: int = 8, pool: Sequence[Term] = (), tree_level: int = 0):
-        if fuel < 0:
-            raise ValueError("fuel must be non-negative")
-        if tree_level < 0:
-            raise ValueError("tree level must be non-negative")
+        _check_count(fuel, "fuel")
+        _check_count(tree_level, "tree level")
         self.fuel = fuel
         # built once: an open pool term fails here, not mid-game
         self.labels = (TAU,) + tuple(Apply(p) for p in pool)
@@ -348,8 +347,7 @@ def refute_bisim(
     Open terms are λ-closed first (free names bound in lexicographic
     order). None is always inconclusive.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _check_count(depth, "depth")
     m, n = _closed_pair(m, n)
     lab = Lab(fuel=fuel, pool=pool, tree_level=tree_level)
     return lab.diff(TermState(m), TermState(n), depth, bisim=True)
@@ -363,8 +361,7 @@ def refute_sim(
     pool: Sequence[Term] = (),
 ) -> Optional[object]:
     """Search for a certificate that m is not simulated by n."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _check_count(depth, "depth")
     m, n = _closed_pair(m, n)
     lab = Lab(fuel=fuel, pool=pool)
     return lab.diff(TermState(m), TermState(n), depth, bisim=False)
@@ -450,8 +447,7 @@ def applicative_compare(
     LeftExceeds certifies that m's mass beats anything n could still
     reach (refuting m below n); symmetrically for RightExceeds.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+    _check_count(fuel, "fuel")
     m, n = _closed_pair(m, n)
     steps = _step_budget(fuel)
     reports = []

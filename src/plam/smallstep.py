@@ -31,6 +31,7 @@ from .syntax import (
     Lam,
     ResourceCapExceeded,
     Term,
+    _check_count,
     is_hnf,
     substitute,
 )
@@ -137,8 +138,7 @@ def _run(
     positive and outcomes sum to one), so every later step repeats it:
     the loop stops there with the result the remaining steps would give.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    _check_count(steps, "steps")
     absorbed: Dict[Term, Dyadic] = {}
     live: Dict[HeadForm, Dyadic] = {}
     s = _decompose(t, spine)
@@ -223,8 +223,7 @@ def trace_tree(
     Hnfs are leaves (absorbing). Returns nested {prob, term, children}
     dictionaries with Dyadic probabilities.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    _check_count(steps, "steps")
     spine = _spine(strategy)
     beta: dict = {}
     count = 0

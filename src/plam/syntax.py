@@ -309,6 +309,15 @@ class ResourceCapExceeded(RuntimeError):
     """A fixed resource cap (nesting, reduction states, trace nodes) was hit."""
 
 
+def _check_count(value: int, what: str) -> None:
+    """Reject a count bound (fuel, steps, level, depth) that is not a
+    non-negative int; every evaluator and game checks its bounds here."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative")
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

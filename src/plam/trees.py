@@ -34,7 +34,7 @@ from typing import Tuple
 
 from .bigstep import _approx
 from .prob import Approx, Distr, Dyadic, ONE, point
-from .syntax import Free, Term, Var, classify, reindex
+from .syntax import Free, Term, Var, _check_count, classify, reindex
 
 
 def binder_ref(depth: int, pos: int) -> str:
@@ -107,20 +107,13 @@ class ProbTree(_Keyed):
         return f"PT(l{self.level} {len(self.entries)} keys deficit={self.deficit})"
 
 
-def _check_level(level: int) -> None:
-    if not isinstance(level, int):
-        raise TypeError(f"tree level must be an int, not {type(level).__name__}")
-    if level < 0:
-        raise ValueError("tree level must be non-negative")
-
-
 def bottom() -> ProbTree:
     return ProbTree(0, Approx(Distr(), False))
 
 
 def eta_tree(name: str, level: int, depth: int = 0) -> ProbTree:
     """The level-ℓ tree of the bare variable `name` at a given node depth."""
-    _check_level(level)
+    _check_count(level, "tree level")
     if level == 0:
         return bottom()
     return ProbTree(level, Approx(point(ValueTree(depth, name, 0, ())), True))
@@ -135,12 +128,14 @@ def _open_binders(t: Term, n: int, depth: int) -> Term:
 
 def value_tree(h: Term, level: int, fuel: int) -> ValueTree:
     """Canonical value tree of a head normal form."""
+    _check_count(level, "tree level")
+    _check_count(fuel, "fuel")
+    if level < 1:
+        raise ValueError("value trees exist at level >= 1 only")
     return _value_tree(h, level, fuel, 0, {}, {})
 
 
 def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: dict) -> ValueTree:
-    if level < 1:
-        raise ValueError("value trees exist at level >= 1 only")
     view = classify(h)
     if not isinstance(view.head, (Var, Free)):
         raise ValueError("value_tree requires a head normal form")
@@ -171,7 +166,8 @@ def prob_tree(m: Term, level: int, fuel: int) -> ProbTree:
     """Group the fuel approximant of m by value tree at the given level;
     every child is evaluated at the same fuel, through one memo and one
     contraction table (`plam.bigstep`) that live for this call only."""
-    _check_level(level)
+    _check_count(level, "tree level")
+    _check_count(fuel, "fuel")
     return _prob_tree(m, level, fuel, 0, {}, {})
 
 

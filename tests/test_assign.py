@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from plam.assign import (
     AssignmentProblem,
     AssignmentSolution,
     Infeasible,
-    assignment_check,
     assignment_solve,
 )
 
@@ -42,7 +42,7 @@ def test_zero_supplies_dropped():
         [Fraction(0)], {frozenset({1}): Fraction(0)}
     )
     assert prob.r == {}
-    assert assignment_check(prob) is True
+    assert isinstance(assignment_solve(prob), AssignmentSolution)
 
 
 def test_known_infeasible_with_witness():
@@ -144,8 +144,7 @@ def test_exhaustive_grid_agrees_with_oracle():
         for values in itertools.product(halves, repeat=len(all_subsets)):
             r = {s: v for s, v in zip(all_subsets, values) if v}
             prob = AssignmentProblem(list(p), dict(r))
-            verdict = assignment_check(prob)
-            feasible = verdict is True
+            feasible = isinstance(assignment_solve(prob), AssignmentSolution)
             assert feasible == oracle_feasible(list(p), r)
             result = assignment_solve(prob)
             if feasible:
@@ -172,7 +171,7 @@ def test_exhaustive_grid_three_items():
         for values in itertools.product(halves, repeat=len(all_subsets)):
             r = {s: v for s, v in zip(all_subsets, values) if v}
             prob = AssignmentProblem(list(p), dict(r))
-            feasible = assignment_check(prob) is True
+            feasible = isinstance(assignment_solve(prob), AssignmentSolution)
             assert feasible == oracle_feasible(list(p), r)
             result = assignment_solve(prob)
             if feasible:
@@ -184,3 +183,62 @@ def test_exhaustive_grid_three_items():
                 assert demand > supply
             count += 1
     assert count == 27 * 2**7
+
+
+def _shortfall(p, r, chosen):
+    """Demand of `chosen` minus the supply of the subsets that meet it."""
+    return sum((p[i - 1] for i in chosen), Fraction(0)) - sum(
+        (v for subset, v in r.items() if subset & chosen), Fraction(0)
+    )
+
+
+def _check_witness(p, r):
+    """Solve one problem and check the answer against brute force: a
+    solution exactly when no subset falls short, and otherwise the witness
+    has the largest shortfall and lies inside every subset that has it."""
+    n = len(p)
+    chosen_sets = [
+        frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(range(1, n + 1), k)
+    ]
+    shortfalls = {c: _shortfall(p, r, c) for c in chosen_sets}
+    worst = max(shortfalls.values(), default=Fraction(0))
+    prob = AssignmentProblem(p, r)
+    result = assignment_solve(prob)
+    if worst <= 0:
+        assert isinstance(result, AssignmentSolution) and result.check(prob)
+        return None
+    assert isinstance(result, Infeasible)
+    assert shortfalls[result.witness] == worst
+    assert all(result.witness <= c for c, s in shortfalls.items() if s == worst)
+    return result.witness
+
+
+def test_witness_is_least_subset_with_largest_shortfall():
+    p = [Fraction(1, 2), Fraction(1, 2), Fraction(1)]
+    r = {frozenset({1, 2}): Fraction(1, 2), frozenset({1}): Fraction(1, 4)}
+    # {1, 2} and {3} fall short too, by 1/4 and 1, but {1, 2, 3} by 5/4
+    assert _check_witness(p, r) == frozenset({1, 2, 3})
+    rng = random.Random(4095)
+    infeasible = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        r = {}
+        for _ in range(rng.randint(0, n + 2)):
+            subset = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            r[subset] = min(Fraction(1), r.get(subset, Fraction(0)) + Fraction(rng.randint(1, 4), 8))
+        p = [Fraction(rng.randint(0, 8), 8) for _ in range(n)]
+        infeasible += _check_witness(p, r) is not None
+    # both branches are exercised
+    assert 50 < infeasible < 350
+
+
+def test_largest_problem_solves_in_time():
+    # 12 demands, one supply for each of the 4 095 nonempty subsets
+    subsets = [
+        frozenset(c) for k in range(1, 13) for c in itertools.combinations(range(1, 13), k)
+    ]
+    prob = AssignmentProblem([Fraction(1, 4)] * 12, {s: Fraction(1, 3) for s in subsets})
+    start = time.perf_counter()
+    sol = assignment_solve(prob)
+    assert time.perf_counter() - start < 10.0
+    assert isinstance(sol, AssignmentSolution) and sol.check(prob)

@@ -259,8 +259,9 @@ def test_deeply_nested_problem_file_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "problem",
-    ({"p": ["1e-20000000"]}, {"p": ["1e-2000000"], "r": {"{1}": "1"}}),
-    ids=("demand", "demand-and-supply"),
+    ({"p": ["1e-20000000"]}, {"p": ["1e-2000000"], "r": {"{1}": "1"}},
+     {"p": ["1/2"] * 12 + ["not a number"]}),
+    ids=("demand", "demand-and-supply", "size"),
 )
 def test_huge_exponent_exits_two_at_once(tmp_path, capsys, problem):
     path = tmp_path / "problem.json"

@@ -19,7 +19,7 @@ from plam.fixtures import M24, M48, N24, N48
 from plam.prob import Distr, Dyadic, ONE, ZERO
 from plam.smallstep import converge
 from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, ResourceCapExceeded, Var, parse
-from plam.trees import Different
+from plam.trees import Different, prob_tree, value_tree
 
 D = Dyadic.parse
 
@@ -111,11 +111,34 @@ def test_apply_label_requires_closed_argument():
         lambda: refute_bisim(I, OMEGA, depth=2, fuel=-5, tree_level=1),
         lambda: refute_sim(I, OMEGA, depth=2, fuel=-5),
         lambda: applicative_compare(I, OMEGA, [[I]], fuel=-1),
+        lambda: transitions(TermState(I), TAU, -1),
+        lambda: prob_tree(I, 0, -1),
+        lambda: value_tree(parse("y"), 2, -1),
     ),
-    ids=("lab", "bisim", "bisim-tree", "sim", "applicative"),
+    ids=("lab", "bisim", "bisim-tree", "sim", "applicative", "transitions", "prob-tree",
+         "value-tree"),
 )
 def test_negative_fuel_rejected(call):
     with pytest.raises(ValueError, match="fuel must be non-negative"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: Lab(fuel=2.5), "fuel"),
+        (lambda: Lab(tree_level=1.5), "tree level"),
+        (lambda: refute_bisim(M24, N24, depth=2, fuel=8, tree_level=1.5), "tree level"),
+        (lambda: refute_bisim(I, OMEGA, depth=2.5), "depth"),
+        (lambda: refute_sim(I, OMEGA, depth=2.5), "depth"),
+        (lambda: applicative_compare(I, OMEGA, [[I]], fuel=2.5), "fuel"),
+        (lambda: transitions(TermState(I), TAU, 2.5), "fuel"),
+    ),
+    ids=("lab-fuel", "lab-tree-level", "bisim-tree-level", "bisim-depth", "sim-depth",
+         "applicative", "transitions"),
+)
+def test_non_integer_bounds_rejected(call, message):
+    with pytest.raises(TypeError, match=f"{message} must be an int"):
         call()
 
 

@@ -96,6 +96,13 @@ def test_negative_steps_rejected(entry):
         entry(parse("I I"), -3)
 
 
+@pytest.mark.parametrize("entry", (step_n, converge, trace_tree))
+def test_non_integer_steps_rejected(entry):
+    # a trace to depth 2.5 would expand three levels
+    with pytest.raises(TypeError, match="steps must be an int"):
+        entry(parse("a (+) b"), 2.5)
+
+
 def test_cap_enforced():
     # a term that doubles its live states every step
     t = parse(r"(\x.(x (+) a) (+) (x (+) b)) c")

@@ -53,7 +53,11 @@ def test_eta_tree_rejects_negative_level():
 
 
 def test_non_integer_level_rejected():
-    for build in (lambda: prob_tree(parse("Omega"), 1.5, 3), lambda: eta_tree("y", 1.5)):
+    for build in (
+        lambda: prob_tree(parse("Omega"), 1.5, 3),
+        lambda: eta_tree("y", 1.5),
+        lambda: value_tree(parse("y"), 1.5, 4),
+    ):
         with pytest.raises(TypeError, match="tree level must be an int"):
             build()
 
