@@ -24,12 +24,19 @@ results, and no stored dict is ever mutated. `_approx` builds the public
 `Distr` of canonical `Dyadic`s once per distinct result and keeps it with
 the result, so later lookups of that result reuse it.
 
-An evaluation keeps two tables, keyed by α-equivalence (equality of
-nameless terms) and dropped when its caller returns: a memo, holding a
-result under (term, fuel) when its `need` exceeds that fuel, which is
-exactly when it gave up, and otherwise under the term alone, for every
-fuel at or above its `need`; and a contraction table from a β-redex
-(λ.b, a) to b[a], so each redex is substituted once.
+An evaluation keeps four tables, keyed by α-equivalence (equality of
+nameless terms) and dropped when its caller returns (`_tables`): a memo,
+holding a result under (term, fuel) when its `need` exceeds that fuel,
+which is exactly when it gave up, and otherwise under the term alone, for
+every fuel at or above its `need`; a contraction table from a β-redex
+(λ.b, a) to b[a], so each redex is substituted once; a substitution
+table, from an argument a to the rewrites that substituting a made,
+keyed by (subterm, cutoff), so a body that shares subterms with an
+earlier one for the same argument rebuilds only what is new (the walk
+`Theta (λf x. x ⊕ f (s x)) z` builds s^(k+1) x over the stored s^k x at
+every fuel); and an abstraction table from an hnf body h to the one
+`Lam(h)` that wraps it, so the abstraction rule builds no node twice and
+the lookups that meet that hnf again match it by identity.
 """
 
 from __future__ import annotations
@@ -45,12 +52,35 @@ def _mix(parts: list, scale: int) -> tuple[dict, int]:
     c·n/2^e, over their largest e plus `scale`. A lone part with c = 1 is
     returned as it is, and one with c = 1 at the largest e is copied whole;
     no part's dict is changed."""
-    parts = [p for p in parts if p[1]]
-    if not parts:
-        return {}, 0
+    if len(parts) > 2:
+        parts = [p for p in parts if p[1]]
+    if len(parts) <= 2:
+        # the common cases, a choice and an application whose function part
+        # has one or two entries, are decided without a list
+        if not parts:
+            return {}, 0
+        (c, a, e), (d, b, f) = parts if len(parts) == 2 else (parts[0], (1, {}, 0))
+        if not a or not b:
+            c, a, e = (c, a, e) if a else (d, b, f)
+            if not a:
+                return {}, 0
+            if c == 1:
+                return a, e + scale
+            return _checked({h: c * n for h, n in a.items()}, e + scale)
+        top = e if e >= f else f
+        # copy the first side of c = 1 at the top exponent whole, if any
+        if d == 1 and f == top and not (c == 1 and e == top):
+            c, a, e, d, b, f = d, b, f, c, a, e
+        if c == 1 and e == top:
+            out = dict(a)
+        else:
+            shift = top - e
+            out = {h: c * n << shift for h, n in a.items()}
+        shift = top - f
+        for h, n in b.items():
+            out[h] = out.get(h, 0) + (d * n << shift)
+        return _checked(out, top + scale)
     top = max(e for _, _, e in parts)
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1], top + scale
     base = next((p for p in parts if p[0] == 1 and p[2] == top), None)
     out = dict(base[1]) if base else {}
     for p in parts:
@@ -59,14 +89,17 @@ def _mix(parts: list, scale: int) -> tuple[dict, int]:
             shift = top - e
             for h, n in weights.items():
                 out[h] = out.get(h, 0) + (c * n << shift)
-    exp = top + scale
+    return _checked(out, top + scale)
+
+
+def _checked(out: dict, exp: int) -> tuple[dict, int]:
     mass = sum(out.values())
     if mass > 1 << exp:
         raise ValueError(f"distribution mass {Dyadic(mass, exp)} exceeds 1")
     return out, exp
 
 
-def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> list:
+def _eval(term: Term, fuel: int, memo: dict, beta: dict, subst: dict, lams: dict) -> list:
     # a result is [numerators, exponent, need, its Approx once built]; the
     # memo lookups stay inline: one Python frame per term level
     out = memo.get(term)
@@ -74,43 +107,59 @@ def _eval(term: Term, fuel: int, memo: dict, beta: dict) -> list:
         out = memo.get((term, fuel))
     if out is not None:
         return out
-    if isinstance(term, (Var, Free)):
+    kind = type(term)
+    if kind is Var or kind is Free:
         out = [{term: 1}, 0, 0, None]
-    elif isinstance(term, Lam):
-        body, exp, need, _ = _eval(term.body, fuel, memo, beta)
-        out = [{Lam(h): n for h, n in body.items()}, exp, need, None]
-    elif isinstance(term, Choice):
-        left = _eval(term.left, fuel, memo, beta)
-        right = _eval(term.right, fuel, memo, beta)
+    elif kind is Lam:
+        body, exp, need, _ = _eval(term.body, fuel, memo, beta, subst, lams)
+        wrapped = {}
+        for h, n in body.items():
+            lam = lams.get(h)
+            if lam is None:
+                lam = lams[h] = term if h is term.body else Lam(h)
+            wrapped[lam] = n
+        out = [wrapped, exp, need, None]
+    elif kind is Choice:
+        left = _eval(term.left, fuel, memo, beta, subst, lams)
+        right = _eval(term.right, fuel, memo, beta, subst, lams)
         parts = [(1, left[0], left[1]), (1, right[0], right[1])]
-        out = [*_mix(parts, 1), max(left[2], right[2]), None]
+        need = left[2] if left[2] >= right[2] else right[2]
+        out = [*_mix(parts, 1), need, None]
     else:
         # application: evaluate the function part, then dispatch on its
         # support; every branch is one part of a single sum, so the
         # result's dict is built once, not re-merged branch by branch
-        fun, exp, need, _ = _eval(term.fun, fuel, memo, beta)
+        fun, exp, need, _ = _eval(term.fun, fuel, memo, beta, subst, lams)
         stuck = {}
         parts = [(1, stuck, 0)]
         for h, n in fun.items():
-            if not isinstance(h, Lam):
-                stuck[App(h, term.arg)] = n
+            if type(h) is not Lam:
+                # a function part that is its own hnf leaves the term as it is
+                stuck[term if h is term.fun else App(h, term.arg)] = n
             elif fuel == 0:
                 need = math.inf
             else:
                 redex = (h, term.arg)
                 body = beta.get(redex)
                 if body is None:
-                    body = beta[redex] = substitute(h.body, term.arg)
-                res = _eval(body, fuel - 1, memo, beta)
+                    body = beta[redex] = substitute(h.body, term.arg, subst)
+                res = _eval(body, fuel - 1, memo, beta, subst, lams)
                 parts.append((n, res[0], res[1]))
-                need = max(need, res[2] + 1)
+                if res[2] >= need:
+                    need = res[2] + 1
         out = [*_mix(parts, exp), need, None]
     memo[(term, fuel) if out[2] > fuel else term] = out
     return out
 
 
-def _approx(term: Term, fuel: int, memo: dict, beta: dict) -> Approx:
-    out = _eval(term, fuel, memo, beta)
+def _tables() -> tuple:
+    """Fresh tables for one evaluation: memo, contraction, substitution and
+    abstraction."""
+    return {}, {}, {}, {}
+
+
+def _approx(term: Term, fuel: int, tables: tuple) -> Approx:
+    out = _eval(term, fuel, *tables)
     if out[3] is None:
         distr = Distr((h, Dyadic(n, out[1])) for h, n in out[0].items())
         out[3] = Approx(distr, not distr.deficit)
@@ -120,10 +169,10 @@ def _approx(term: Term, fuel: int, memo: dict, beta: dict) -> Approx:
 def eval_fuel(term: Term, fuel: int) -> Approx:
     """Evaluate `term` with the given fuel budget.
 
-    Subterm results and β-contractions are shared through tables that
-    live for this call only; a subterm result that did not give up is
-    reused at every fuel at or above the fuel it needed. The bound is
+    Subterm results, β-contractions and substitutions are shared through
+    tables that live for this call only; a subterm result that did not give
+    up is reused at every fuel at or above the fuel it needed. The bound is
     exact when its deficit is zero: a lower bound of mass 1 is the limit.
     """
     _check_count(fuel, "fuel")
-    return _approx(term, fuel, {}, {})
+    return _approx(term, fuel, _tables())

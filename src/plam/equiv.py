@@ -64,18 +64,19 @@ class Tau:
 
 
 class Apply:
-    __slots__ = ("argument",)
+    __slots__ = ("argument", "_hash")
 
     def __init__(self, argument: Term):
         if not is_closed(argument):
             raise ValueError("apply labels must be closed terms")
         self.argument = argument
+        self._hash = hash(("apply", argument))
 
     def __eq__(self, other):
         return type(other) is Apply and other.argument == self.argument
 
     def __hash__(self):
-        return hash(("apply", self.argument))
+        return self._hash
 
     def __repr__(self):
         return f"Apply({pretty(self.argument)})"
@@ -101,8 +102,29 @@ def transitions(state, label, fuel: int) -> Approx:
     """
     _check_count(fuel, "fuel")
     if isinstance(state, TermState) and label is TAU:
-        if not is_closed(state.term):
-            raise ValueError("term states must be closed terms")
+        _check_closed(state)
+    return _transitions(state, label, fuel)
+
+
+def _check_closed(state) -> None:
+    """Refuse a term state or distinguished hnf whose term is open."""
+    if not _closed(state):
+        kind = "term" if isinstance(state, TermState) else "hnf"
+        raise ValueError(f"{kind} states must be closed terms")
+
+
+def _closed(state) -> bool:
+    if isinstance(state, TermState):
+        return is_closed(state.term)
+    return not isinstance(state, HnfState) or is_closed(Lam(state.body))
+
+
+def _transitions(state, label, fuel: int) -> Approx:
+    """`transitions` without the closedness check. The chain keeps states
+    closed, a closed term reducing to closed hnfs and a closed hnf applied
+    to a closed label argument being closed, so only the states that enter
+    it from outside need the walk that `is_closed` takes."""
+    if isinstance(state, TermState) and label is TAU:
         res = converge(state.term, _step_budget(fuel))
         pairs = []
         for h, w in res.distr.items():
@@ -208,7 +230,8 @@ class Lab:
         key = (state, label)
         out = self._trans_memo.get(key)
         if out is None:
-            out = self._trans_memo[key] = transitions(state, label, self.fuel)
+            # the games reach closed states only: their roots are λ-closed
+            out = self._trans_memo[key] = _transitions(state, label, self.fuel)
         return out
 
     def diff(self, u, v, depth: int, bisim: bool) -> Optional[object]:
@@ -376,8 +399,15 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
 
     A tree difference refutes bisimilarity only: similarity is strictly
     contained in the contextual preorder, so `I (+) Omega`, simulated by
-    `I`, may still differ from it in its tree.
+    `I`, may still differ from it in its tree. An open state raises
+    `ValueError`.
     """
+    _check_closed(u)
+    _check_closed(v)
+    return _verify(u, v, witness, lab, bisim)
+
+
+def _verify(u, v, witness, lab: Lab, bisim: bool) -> bool:
     if isinstance(witness, TreeWitness):
         level = witness.level
         if not bisim or not isinstance(level, int) or level < 0:
@@ -394,12 +424,13 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
     right = (dv.lower(image), dv.upper(image))
     if left != witness.left or right != witness.right:
         return False
+    support = du.distr.support() | dv.distr.support()
     if bisim:
         if not _disjoint(left, right):
             return False
         # the block is closed: every joint-support state outside it is
         # separated from every block member, by a sub-witness in either order
-        outside = (du.distr.support() | dv.distr.support()) - set(witness.block)
+        outside = support - set(witness.block)
         keys = set(witness.sub) | {(s2, s1) for s1, s2 in witness.sub}
     else:
         if left[0] <= right[1]:
@@ -410,10 +441,11 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
         keys = witness.sub
     if any((s1, s2) not in keys for s1 in witness.block for s2 in outside):
         return False
-    return all(
-        verify_witness(pair[0], pair[1], w, lab, bisim)
-        for pair, w in witness.sub.items()
-    )
+    # the chain reached the support from closed states; any other state a
+    # sub-witness names enters here, and an open one forges the certificate
+    if not all(_closed(s) for s in {s for pair in witness.sub for s in pair} - support):
+        return False
+    return all(_verify(s1, s2, w, lab, bisim) for (s1, s2), w in witness.sub.items())
 
 
 # ---------------------------------------------------------------------------

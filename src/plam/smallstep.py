@@ -17,6 +17,11 @@ b[a], keyed by alpha-equivalence and dropped when the call returns, so a
 redex that the chain meets again (every round of a recursion through
 `Theta`) is substituted once; `converge` shares its table between the
 chain and the certification closure, which re-steps the chain's states.
+
+The chain's weights are integers: after k steps a live state carries a
+numerator over 2^k, k the steps run and never the budget, and an
+absorbed hnf its numerator with the step at which it last grew. The
+`Dyadic`s are built once, into the returned `Distr`.
 """
 
 from __future__ import annotations
@@ -80,10 +85,12 @@ def _decompose(t: Term, spine: bool) -> State:
     return t if is_hnf(t) else _refocus(0, t, (), None, spine)
 
 
-def _successor(s: HeadForm, spine: bool, beta: dict) -> Tuple[Tuple[Dyadic, State], ...]:
+def _successor(s: HeadForm, spine: bool, beta: dict) -> Tuple[State, ...]:
     """One step from a live state: contract its redex, then refocus.
 
-    `beta` is the caller's contraction table, from a β-redex (λ.b, a) to b[a].
+    Returns the next state, reached with probability 1, or the two branches
+    of a choice, each reached with probability 1/2. `beta` is the caller's
+    contraction table, from a β-redex (λ.b, a) to b[a].
     """
     n, head, args, up = s.binders, s.head, s.args, s.up
     if type(head) is Lam:
@@ -91,13 +98,13 @@ def _successor(s: HeadForm, spine: bool, beta: dict) -> Tuple[Tuple[Dyadic, Stat
         body = beta.get(redex)
         if body is None:
             body = beta[redex] = substitute(head.body, args[0])
-        return ((ONE, _refocus(n, body, args[1:], up, spine)),)
+        return (_refocus(n, body, args[1:], up, spine),)
     # branches equal modulo alpha collapse with probability 1
     if head.left == head.right:
-        return ((ONE, _refocus(n, head.left, args, up, spine)),)
+        return (_refocus(n, head.left, args, up, spine),)
     return (
-        (HALF, _refocus(n, head.left, args, up, spine)),
-        (HALF, _refocus(n, head.right, args, up, spine)),
+        _refocus(n, head.left, args, up, spine),
+        _refocus(n, head.right, args, up, spine),
     )
 
 
@@ -115,7 +122,9 @@ def _step_view(t: Term, spine: bool) -> StepOutcome:
     s = _decompose(t, spine)
     if type(s) is not HeadForm:
         return ((ONE, t),)
-    return tuple((p, _as_term(s2)) for p, s2 in _successor(s, spine, {}))
+    out = _successor(s, spine, {})
+    p = ONE if len(out) == 1 else HALF
+    return tuple((p, _as_term(s2)) for s2 in out)
 
 
 def head_step(t: Term) -> StepOutcome:
@@ -130,40 +139,59 @@ def spine_step(t: Term) -> StepOutcome:
 
 def _run(
     t: Term, steps: int, spine: bool, cap: int, beta: dict
-) -> Tuple[Dict[Term, Dyadic], Dict[HeadForm, Dyadic]]:
+) -> Tuple[Distr, Dict[HeadForm, int], bool]:
     """Iterate the absorbing chain, merging equal states.
 
-    Returns (absorbed hnf mass, live state mass) after `steps` steps.
-    A step that leaves `live` unchanged absorbed nothing (every weight is
-    positive and outcomes sum to one), so every later step repeats it:
-    the loop stops there with the result the remaining steps would give.
+    Returns the absorbed hnf mass, the live states with their numerators,
+    and whether the chain stopped at a fixed point. After k steps a live
+    weight is its numerator over 2^k: a β-step doubles it, a choice step
+    keeps it on each branch. An absorbed hnf keeps its numerator with the
+    step at which it last grew, so the `Dyadic`s are built once, at the end.
+    A step that leaves every live weight as it was (each numerator doubled)
+    absorbed nothing, since every weight is positive and outcomes sum to
+    one, so every later step repeats it: the loop stops there with the
+    result the remaining steps would give.
     """
     _check_count(steps, "steps")
-    absorbed: Dict[Term, Dyadic] = {}
-    live: Dict[HeadForm, Dyadic] = {}
+    absorbed: Dict[Term, Tuple[int, int]] = {}
+    live: Dict[HeadForm, int] = {}
     s = _decompose(t, spine)
-    (live if type(s) is HeadForm else absorbed)[s] = ONE
-    for _ in range(steps):
-        if not live:
-            break
-        nxt: Dict[HeadForm, Dyadic] = {}
+    if type(s) is HeadForm:
+        live[s] = 1
+    else:
+        absorbed[s] = (1, 0)
+    k = 0
+    fixed = False
+    while live and k < steps:
+        k += 1
+        nxt: Dict[HeadForm, int] = {}
         for s, w in live.items():
-            for p, s2 in _successor(s, spine, beta):
-                target = nxt if type(s2) is HeadForm else absorbed
-                prev = target.get(s2)
-                target[s2] = prev + w * p if prev is not None else w * p
+            out = _successor(s, spine, beta)
+            if len(out) == 1:
+                w <<= 1
+            for s2 in out:
+                if type(s2) is HeadForm:
+                    nxt[s2] = nxt.get(s2, 0) + w
+                else:
+                    prev = absorbed.get(s2)
+                    absorbed[s2] = (w, k) if prev is None else ((prev[0] << k - prev[1]) + w, k)
         if len(nxt) + len(absorbed) > cap:
             raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
-        if nxt == live:
-            break
+        if len(nxt) == len(live):
+            for s, w in live.items():
+                if nxt.get(s) != w << 1:
+                    break
+            else:
+                fixed = True
         live = nxt
-    return absorbed, live
+        if fixed:
+            break
+    return Distr((h, Dyadic(n, e)) for h, (n, e) in absorbed.items()), live, fixed
 
 
 def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Distr:
     """Cumulative probability of having reached each hnf within n steps."""
-    absorbed, _ = _run(t, n, _spine(strategy), cap, {})
-    return Distr(absorbed.items())
+    return _run(t, n, _spine(strategy), cap, {})[0]
 
 
 def _core(s: HeadForm) -> HeadForm:
@@ -186,14 +214,18 @@ def converge(
 
     Certification explores the successor closure of the live states; if it
     stays finite (within the cap) and never touches an hnf, no residual
-    mass can ever converge and the lower bound is exact.
+    mass can ever converge and the lower bound is exact. A chain that
+    stopped at a fixed point needs no closure: its last step absorbed
+    nothing and kept every live state live, so the live states are their
+    own closure.
     """
     spine = _spine(strategy)
     # the closure re-steps states that the chain just stepped, so both
     # share one contraction table
     beta: dict = {}
-    absorbed, live = _run(t, steps, spine, cap, beta)
-    lower = Distr(absorbed.items())
+    lower, live, fixed = _run(t, steps, spine, cap, beta)
+    if fixed:
+        return Approx(lower, True)
     # the closure is over cores, states with their leading binders
     # stripped: both strategies commute with λ, and λx.W is an hnf iff W
     # is, so a residual that only grows a λ-prefix closes too. Cores may
@@ -203,7 +235,7 @@ def converge(
     work = list(dict.fromkeys(_core(s) for s in live))
     seen = set(work)
     for s in work:
-        for _, s2 in _successor(s, spine, beta):
+        for s2 in _successor(s, spine, beta):
             if type(s2) is not HeadForm:
                 return Approx(lower, False)
             s2 = _core(s2)
@@ -235,7 +267,9 @@ def trace_tree(
             raise ResourceCapExceeded(f"trace node count exceeded cap {cap}")
         entry = {"prob": p, "term": _as_term(s), "children": []}
         if depth < steps and type(s) is HeadForm:
-            entry["children"] = [node(s2, q, depth + 1) for q, s2 in _successor(s, spine, beta)]
+            out = _successor(s, spine, beta)
+            q = ONE if len(out) == 1 else HALF
+            entry["children"] = [node(s2, q, depth + 1) for s2 in out]
         return entry
 
     return node(_decompose(t, spine), ONE, 0)

@@ -126,26 +126,44 @@ class Choice(Term):
     __hash__ = Term.__hash__
 
 
-def reindex(t: Term, repls: Tuple[Term, ...], by: int, cutoff: int = 0) -> Term:
+def reindex(
+    t: Term, repls: Tuple[Term, ...], by: int, cutoff: int = 0, memo: dict | None = None
+) -> Term:
     """Rewrite the binder indices at or above `cutoff` in one pass.
 
     Index `cutoff + i` with `i < len(repls)` becomes `repls[i]`, shifted
     past the `cutoff` binders; every higher index moves by `by`. This is
     the simultaneous substitution (repls · ↑by) of explicit-substitution
     calculi, so shifting, β-contraction and binder opening all use it.
+
+    `memo`, when given, maps (subterm, cutoff) to its rewrite and is read
+    and extended on the way; it must only ever serve one `repls` and `by`.
+    A subterm met again, in this call or a later one sharing the memo, is
+    then the stored node, not a rebuilt copy.
     """
     if t.loose <= cutoff:
         return t
+    if memo is not None:
+        out = memo.get((t, cutoff))
+        if out is not None:
+            return out
     if isinstance(t, Var):
         i = t.index - cutoff
         if i < len(repls):
-            return reindex(repls[i], (), cutoff)
-        return Var(t.index + by)
-    if isinstance(t, Lam):
-        return Lam(reindex(t.body, repls, by, cutoff + 1))
-    if isinstance(t, App):
-        return App(reindex(t.fun, repls, by, cutoff), reindex(t.arg, repls, by, cutoff))
-    return Choice(reindex(t.left, repls, by, cutoff), reindex(t.right, repls, by, cutoff))
+            out = reindex(repls[i], (), cutoff) if cutoff else repls[i]
+        else:
+            out = Var(t.index + by)
+    elif isinstance(t, Lam):
+        out = Lam(reindex(t.body, repls, by, cutoff + 1, memo))
+    elif isinstance(t, App):
+        out = App(reindex(t.fun, repls, by, cutoff, memo), reindex(t.arg, repls, by, cutoff, memo))
+    else:
+        out = Choice(
+            reindex(t.left, repls, by, cutoff, memo), reindex(t.right, repls, by, cutoff, memo)
+        )
+    if memo is not None:
+        memo[(t, cutoff)] = out
+    return out
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -153,9 +171,19 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return reindex(t, (), by, cutoff)
 
 
-def substitute(body: Term, arg: Term) -> Term:
-    """Capture-free substitution of a binder's body: (λ.body) arg ↦ body[arg]."""
-    return reindex(body, (arg,), -1)
+def substitute(body: Term, arg: Term, _table: dict | None = None) -> Term:
+    """Capture-free substitution of a binder's body: (λ.body) arg ↦ body[arg].
+
+    `_table` is for evaluators, which pass one per call: it maps each
+    argument to the `reindex` memo of its substitutions, so a subterm that
+    bodies share with earlier ones is rewritten once per argument.
+    """
+    if _table is None:
+        return reindex(body, (arg,), -1)
+    memo = _table.get(arg)
+    if memo is None:
+        memo = _table[arg] = {}
+    return reindex(body, (arg,), -1, 0, memo)
 
 
 def subterms(t: Term) -> List[Term]:

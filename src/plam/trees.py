@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .bigstep import _approx
+from .bigstep import _approx, _tables
 from .prob import Approx, Distr, Dyadic, ONE, point
 from .syntax import Free, Term, Var, _check_count, classify, reindex
 
@@ -132,10 +132,10 @@ def value_tree(h: Term, level: int, fuel: int) -> ValueTree:
     _check_count(fuel, "fuel")
     if level < 1:
         raise ValueError("value trees exist at level >= 1 only")
-    return _value_tree(h, level, fuel, 0, {}, {})
+    return _value_tree(h, level, fuel, 0, _tables())
 
 
-def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: dict) -> ValueTree:
+def _value_tree(h: Term, level: int, fuel: int, depth: int, tables: tuple) -> ValueTree:
     view = classify(h)
     if not isinstance(view.head, (Var, Free)):
         raise ValueError("value_tree requires a head normal form")
@@ -151,7 +151,7 @@ def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: di
         return ValueTree(depth, head_name, 0, ())
     child_level = level - 1
     args = [
-        _prob_tree(_open_binders(a, n, depth), child_level, fuel, depth + 1, memo, beta)
+        _prob_tree(_open_binders(a, n, depth), child_level, fuel, depth + 1, tables)
         for a in view.args
     ]
     offset = n - len(view.args)
@@ -164,18 +164,18 @@ def _value_tree(h: Term, level: int, fuel: int, depth: int, memo: dict, beta: di
 
 def prob_tree(m: Term, level: int, fuel: int) -> ProbTree:
     """Group the fuel approximant of m by value tree at the given level;
-    every child is evaluated at the same fuel, through one memo and one
-    contraction table (`plam.bigstep`) that live for this call only."""
+    every child is evaluated at the same fuel, through one set of
+    evaluation tables (`plam.bigstep`) that live for this call only."""
     _check_count(level, "tree level")
     _check_count(fuel, "fuel")
-    return _prob_tree(m, level, fuel, 0, {}, {})
+    return _prob_tree(m, level, fuel, 0, _tables())
 
 
-def _prob_tree(m: Term, level: int, fuel: int, depth: int, memo: dict, beta: dict) -> ProbTree:
+def _prob_tree(m: Term, level: int, fuel: int, depth: int, tables: tuple) -> ProbTree:
     if level == 0:
         return bottom()
-    res = _approx(m, fuel, memo, beta)
-    trees = res.distr.map_support(lambda h: _value_tree(h, level, fuel, depth, memo, beta))
+    res = _approx(m, fuel, tables)
+    trees = res.distr.map_support(lambda h: _value_tree(h, level, fuel, depth, tables))
     return ProbTree(level, Approx(trees, res.exact))
 
 

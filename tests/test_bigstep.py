@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from plam import prob
+from plam import prob, syntax
 from plam.bigstep import eval_fuel
 from plam.prob import Distr, Dyadic, ONE, ZERO, point
 from plam.syntax import App, Choice, Lam, OMEGA, parse
@@ -120,6 +120,37 @@ def test_evaluation_builds_one_distr_per_distinct_result(monkeypatch):
     assert _distr_builds(monkeypatch, lambda: eval_fuel(WALK, 64)) == 1
     # one tree build turns each distinct child result into a Distr once
     assert _distr_builds(monkeypatch, lambda: prob_tree(BRANCHING_WALK, 6, 14)) <= 894
+
+
+def _substitution_work(monkeypatch, run):
+    """`reindex` calls and Lam/App/Choice nodes built during `run()`."""
+    count = {"reindex": 0, "nodes": 0}
+    reindex = syntax.reindex
+
+    def counted(*args):
+        count["reindex"] += 1
+        return reindex(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "reindex", counted)
+        for cls in (Lam, App, Choice):
+            def built(self, *args, _init=cls.__init__):
+                count["nodes"] += 1
+                _init(self, *args)
+
+            m.setattr(cls, "__init__", built)
+        run()
+    return count["reindex"], count["nodes"]
+
+
+def test_walk_substitutes_each_open_subterm_once_per_argument(monkeypatch):
+    # the walk's results hold s^k x under a binder at every fuel; one
+    # substitution table per call rewrites s^(k+1) x over the stored s^k x,
+    # so the work grows with the fuel, not with its square
+    work = [_substitution_work(monkeypatch, lambda: eval_fuel(WALK, f)) for f in (64, 128, 256)]
+    for small, large in zip(work, work[1:]):
+        for a, b in zip(small, large):
+            assert 0 < a and b <= 2.3 * a
 
 
 @pytest.mark.parametrize(

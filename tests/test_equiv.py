@@ -90,6 +90,33 @@ def test_tau_transition_requires_closed_term():
         transitions(TermState(parse("y")), TAU, 4)
 
 
+@pytest.mark.parametrize(
+    "u", (TermState(parse("y")), TermState(Var(0)), HnfState(parse("y")), HnfState(Var(1)))
+)
+def test_witness_replay_requires_closed_states(u):
+    w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
+    lab = Lab(fuel=6, pool=(OMEGA, I))
+    with pytest.raises(ValueError, match="states must be closed terms"):
+        verify_witness(u, TermState(N24), w, lab, bisim=True)
+    with pytest.raises(ValueError, match="states must be closed terms"):
+        verify_witness(TermState(M24), u, w, lab, bisim=True)
+
+
+def test_witness_naming_an_open_state_rejected():
+    # a forged sub-witness naming an open state outside the joint support
+    w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
+    sub = dict(w.sub)
+    sub[(TermState(parse("y")), TermState(I))] = next(iter(w.sub.values()))
+    forged = Witness(w.label, w.block, w.left, w.right, sub)
+    lab = Lab(fuel=6, pool=(OMEGA, I))
+    assert not verify_witness(TermState(M24), TermState(N24), forged, lab, bisim=True)
+
+
+def test_equal_apply_labels_hash_alike():
+    assert hash(Apply(I)) == hash(Apply(parse(r"\y.y")))
+    assert len({Apply(I), Apply(parse(r"\y.y")), Apply(OMEGA)}) == 2
+
+
 def test_mismatched_labels_have_no_transitions():
     assert not transitions(TermState(T), Apply(I), 4).distr
     assert not transitions(HnfState(T.body), TAU, 4).distr
@@ -176,7 +203,7 @@ def test_a_raised_search_leaves_no_verdict_behind(monkeypatch):
         raise ResourceCapExceeded("interrupted")
 
     with monkeypatch.context() as m:
-        m.setattr("plam.equiv.transitions", interrupted)
+        m.setattr("plam.equiv._transitions", interrupted)
         with pytest.raises(ResourceCapExceeded):
             lab.diff(u, v, 8, True)
     # the same lab searches the pair afresh, as a new one would

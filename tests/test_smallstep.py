@@ -140,6 +140,40 @@ def test_converge_stops_at_the_fixed_point(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def _successor_calls(monkeypatch, run):
+    calls = [0]
+    successor = smallstep._successor
+
+    def counting(*args):
+        calls[0] += 1
+        return successor(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(smallstep, "_successor", counting)
+        out = run()
+    return out, calls[0]
+
+
+def test_converge_skips_the_closure_after_a_fixed_point(monkeypatch):
+    # step 1 splits, step 2 re-steps Omega and Omega I onto themselves:
+    # nothing was absorbed, so the live states are their own closure
+    res, calls = _successor_calls(monkeypatch, lambda: converge(parse("Omega (+) Omega I"), 48))
+    assert res.exact and res.mass == Dyadic(0)
+    assert calls == 3
+
+
+def test_step_n_stops_at_the_fixed_point_after_a_split(monkeypatch):
+    out, calls = _successor_calls(monkeypatch, lambda: step_n(parse("Omega (+) Omega I"), 10**7))
+    assert out == Distr() and calls <= 3
+
+
+def test_weights_grow_with_the_steps_run_not_the_budget(monkeypatch):
+    # a denominator of 2^budget would take seconds to build here
+    res, calls = _successor_calls(monkeypatch, lambda: converge(parse(r"(\x.x) (\x.x)"), 10**7))
+    assert res.exact and res.distr == Distr([(parse("I"), ONE)])
+    assert calls == 1
+
+
 def test_cap_is_checked_before_the_fixed_point_stop():
     with pytest.raises(ResourceCapExceeded):
         converge(OMEGA, 5, cap=0)
@@ -211,9 +245,9 @@ def _substitute_calls(monkeypatch, module, run):
     calls = [0]
     substitute = module.substitute
 
-    def counting(body, arg):
+    def counting(body, arg, *rest):
         calls[0] += 1
-        return substitute(body, arg)
+        return substitute(body, arg, *rest)
 
     with monkeypatch.context() as m:
         m.setattr(module, "substitute", counting)
