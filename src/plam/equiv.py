@@ -129,7 +129,8 @@ def _transitions(state, label, fuel: int) -> Approx:
         pairs = []
         for h, w in res.distr.items():
             if not isinstance(h, Lam):
-                raise AssertionError("closed hnf without leading binder")
+                # a closed hnf starts with a binder
+                raise ValueError("term states must be closed terms")
             pairs.append((HnfState(h.body), w))
         return Approx(Distr(pairs), res.exact)
     if isinstance(state, HnfState) and isinstance(label, Apply):
@@ -227,10 +228,13 @@ class Lab:
         self._diff_memo: Dict[Tuple, Optional[object]] = {}
 
     def trans(self, state, label) -> Approx:
+        """`transitions` at this lab's fuel, memoised, for a closed state,
+        which is not checked here: the games λ-close their roots and
+        `verify_witness` checks its own, so states enter closed and stay
+        closed."""
         key = (state, label)
         out = self._trans_memo.get(key)
         if out is None:
-            # the games reach closed states only: their roots are λ-closed
             out = self._trans_memo[key] = _transitions(state, label, self.fuel)
         return out
 

@@ -174,7 +174,7 @@ def _run(
                     nxt[s2] = nxt.get(s2, 0) + w
                 else:
                     prev = absorbed.get(s2)
-                    absorbed[s2] = (w, k) if prev is None else ((prev[0] << k - prev[1]) + w, k)
+                    absorbed[s2] = (w, k) if prev is None else ((prev[0] << (k - prev[1])) + w, k)
         if len(nxt) + len(absorbed) > cap:
             raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
         if len(nxt) == len(live):

@@ -178,11 +178,7 @@ def substitute(body: Term, arg: Term, _table: dict | None = None) -> Term:
     argument to the `reindex` memo of its substitutions, so a subterm that
     bodies share with earlier ones is rewritten once per argument.
     """
-    if _table is None:
-        return reindex(body, (arg,), -1)
-    memo = _table.get(arg)
-    if memo is None:
-        memo = _table[arg] = {}
+    memo = None if _table is None else _table.setdefault(arg, {})
     return reindex(body, (arg,), -1, 0, memo)
 
 

@@ -102,6 +102,12 @@ def test_witness_replay_requires_closed_states(u):
         verify_witness(TermState(M24), u, w, lab, bisim=True)
 
 
+def test_open_term_state_rejected_by_the_lab():
+    # the lab does not walk the term, but an open hnf still shows
+    with pytest.raises(ValueError, match="term states must be closed terms"):
+        Lab(fuel=4).trans(TermState(parse(r"y (+) \x.x")), TAU)
+
+
 def test_witness_naming_an_open_state_rejected():
     # a forged sub-witness naming an open state outside the joint support
     w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
