@@ -313,7 +313,10 @@ def _assign_text(p: dict) -> List[str]:
 
 
 def _number(value) -> Fraction:
-    """One demand or supply of a problem file, read exactly."""
+    """One demand or supply of a problem file, read exactly: a JSON number
+    literal arrives as its decimal text."""
+    if isinstance(value, bool):
+        raise UsageError(f"problem file: {value!r} is not a number")
     if isinstance(value, str):
         # Fraction expands 10^exponent in full, so look at it first
         _, e, exponent = value.upper().partition("E")
@@ -329,7 +332,7 @@ def _number(value) -> Fraction:
 def cmd_assign(args) -> Answer:
     with open(args.problem, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=str)
         except RecursionError:
             raise UsageError("problem file nests too deeply") from None
     if not isinstance(data, dict):

@@ -266,16 +266,14 @@ class Lab:
             return None
         # pairwise separation certificates at reduced depth
         sub: Dict[Tuple, object] = {}
-        separated: Dict[Tuple, bool] = {}
         for i, s1 in enumerate(support):
             for s2 in support[i + 1:]:
                 w = self.diff(s1, s2, depth - 1, True)
-                separated[(s1, s2)] = separated[(s2, s1)] = w is not None
                 if w is not None:
                     sub[(s1, s2)] = w
         # blocks are components of the not-provably-separated graph, so
         # cross-block pairs are all certified distinct
-        blocks = _components(support, separated)
+        blocks = _components(support, sub)
         for block in blocks:
             left = (du.lower(block), du.upper(block))
             right = (dv.lower(block), dv.upper(block))
@@ -331,7 +329,8 @@ class Lab:
         return None
 
 
-def _components(items, separated) -> List[List]:
+def _components(items, sub) -> List[List]:
+    """Components of the graph joining each pair `sub` holds in neither order."""
     remaining = list(items)
     out = []
     while remaining:
@@ -341,7 +340,8 @@ def _components(items, separated) -> List[List]:
         while changed:
             changed = False
             for other in list(remaining):
-                if any(not separated.get((other, member), False) for member in comp):
+                if any((other, member) not in sub and (member, other) not in sub
+                       for member in comp):
                     comp.append(other)
                     remaining.remove(other)
                     changed = True
@@ -404,7 +404,8 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
     A tree difference refutes bisimilarity only: similarity is strictly
     contained in the contextual preorder, so `I (+) Omega`, simulated by
     `I`, may still differ from it in its tree. An open state raises
-    `ValueError`.
+    `ValueError`; a certificate holding anything but a `Witness` or a
+    `TreeWitness`, at its root or below, is rejected.
     """
     _check_closed(u)
     _check_closed(v)
@@ -422,6 +423,8 @@ def _verify(u, v, witness, lab: Lab, bisim: bool) -> bool:
             and isinstance(witness.detail, Different)
             and _stated(found.detail) == _stated(witness.detail)
         )
+    if not isinstance(witness, Witness):
+        return False
     du, dv = lab.trans(u, witness.label), lab.trans(v, witness.label)
     image = witness.block if bisim else witness.image or ()
     left = (du.lower(witness.block), du.upper(witness.block))

@@ -176,10 +176,19 @@ def substitute(body: Term, arg: Term, _table: dict | None = None) -> Term:
 
     `_table` is for evaluators, which pass one per call: it maps each
     argument to the `reindex` memo of its substitutions, so a subterm that
-    bodies share with earlier ones is rewritten once per argument.
+    bodies share with earlier ones is rewritten once per argument, and a
+    repeated (body, arg) is answered from that memo without a traversal.
     """
-    memo = None if _table is None else _table.setdefault(arg, {})
-    return reindex(body, (arg,), -1, 0, memo)
+    if _table is None:
+        return reindex(body, (arg,), -1)
+    memo = _table.get(arg)
+    if memo is None:
+        memo = _table[arg] = {}
+    out = memo.get((body, 0))
+    if out is None:
+        # stored here too, as `reindex` keeps no body free of index 0
+        out = memo[(body, 0)] = reindex(body, (arg,), -1, 0, memo)
+    return out
 
 
 def subterms(t: Term) -> List[Term]:

@@ -273,6 +273,38 @@ def test_huge_exponent_exits_two_at_once(tmp_path, capsys, problem):
     assert err.startswith("resource cap exceeded: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ('{"p": [0.9, 0], "r": {"{1}": 0.3, "{1,2}": 0.6}}',
+     '{"p": ["0.9", "0"], "r": {"{1}": "0.3", "{1,2}": "0.6"}}'),
+    ids=("literals", "strings"),
+)
+def test_number_literals_are_read_as_exact_decimals(tmp_path, capsys, text):
+    # as binary floats 0.3 + 0.6 falls short of 0.9
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    code, payload, _ = run_json(capsys, "assign", "--problem", str(path))
+    assert code == 0 and payload["feasible"] is True
+
+
+def test_huge_exponent_literal_exits_two(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text('{"p": [1e-20000000]}', encoding="utf-8")
+    code, out, err = run(capsys, "assign", "--problem", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("resource cap exceeded: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ['{"p": [true]}', '{"p": ["1/2"], "r": {"{1}": false}}'],
+                         ids=("demand", "supply"))
+def test_boolean_numbers_exit_one(tmp_path, capsys, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "assign", "--problem", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_small_exponent_still_solves(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"p": ["1e-3"], "r": {"{1}": "1"}}), encoding="utf-8")

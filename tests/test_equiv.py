@@ -435,3 +435,30 @@ def test_applicative_compare_left_exceeds():
     reports = applicative_compare(I, OMEGA, [()], fuel=6)
     assert reports[0].verdict == "LeftExceeds"
     assert reports[0].right.exact
+
+
+def _fixture_certificate(bisim):
+    if bisim:
+        lab = Lab(fuel=6, pool=(OMEGA, I))
+        w = refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
+        return TermState(M24), TermState(N24), w, lab
+    lab = Lab(fuel=6, pool=(I,))
+    w = refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
+    return TermState(M48), TermState(N48), w, lab
+
+
+@pytest.mark.parametrize("junk", [None, "not a witness"], ids=("none", "string"))
+@pytest.mark.parametrize("bisim", [True, False], ids=("bisim", "sim"))
+def test_witness_with_a_sub_witness_of_another_type_rejected(bisim, junk):
+    u, v, w, lab = _fixture_certificate(bisim)
+    assert w.sub and verify_witness(u, v, w, lab, bisim=bisim)
+    for pair in w.sub:
+        sub = {**w.sub, pair: junk}
+        bad = Witness(w.label, w.block, w.left, w.right, sub, image=w.image)
+        assert verify_witness(u, v, bad, lab, bisim=bisim) is False
+
+
+@pytest.mark.parametrize("bisim", [True, False], ids=("bisim", "sim"))
+def test_missing_root_witness_rejected(bisim):
+    u, v, _, lab = _fixture_certificate(bisim)
+    assert verify_witness(u, v, None, lab, bisim=bisim) is False

@@ -1,5 +1,6 @@
 import pytest
 
+from plam import syntax
 from plam.syntax import (
     App,
     Choice,
@@ -105,6 +106,40 @@ def test_substitute_adjusts_indices():
     # (\x.\y.x y) (\z.z)  ->  \y.(\z.z) y
     body = parse(r"\x y.x y").body
     assert substitute(body, parse("I")) == parse(r"\y.I y")
+
+
+def _counting_reindex(monkeypatch):
+    calls = []
+    reindex = syntax.reindex
+
+    def counted(*args):
+        calls.append(args)
+        return reindex(*args)
+
+    monkeypatch.setattr(syntax, "reindex", counted)
+    return calls
+
+
+@pytest.mark.parametrize("src", [r"\x y.x (x y)", r"\x.I"], ids=("open", "closed"))
+def test_substitution_table_answers_a_repeated_pair_without_reindex(monkeypatch, src):
+    body, arg = parse(src).body, parse("T")
+    calls = _counting_reindex(monkeypatch)
+    table = {}
+    first = substitute(body, arg, table)
+    assert calls and list(table) == [arg]
+    calls.clear()
+    assert substitute(body, arg, table) is first
+    assert not calls
+
+
+def test_substitution_without_a_table_stores_nothing(monkeypatch):
+    body, arg = parse(r"\x y.x (x y)").body, parse("T")
+    calls = _counting_reindex(monkeypatch)
+    first = substitute(body, arg)
+    count = len(calls)
+    second = substitute(body, arg)
+    assert count and len(calls) == 2 * count
+    assert second == first and second is not first
 
 
 def test_lam_close_order():
