@@ -415,8 +415,9 @@ def cmd_proptest(args) -> Answer:
 # ---------------------------------------------------------------------------
 
 
-def _int(flag: str, default: int) -> tuple:
-    return flag, dict(type=int, default=default)
+def _int(flag: str, default: int, cap: int) -> tuple:
+    """A non-negative int option, refused above `cap`."""
+    return flag, dict(type=int, default=default), cap
 
 
 _PAIR = ("term1", "term2")
@@ -424,27 +425,29 @@ _POOL = ("--pool", dict(default=DEFAULT_POOL))
 # name, handler, help, positional terms, options before --format
 _COMMANDS = (
     ("parse", cmd_parse, "parse and pretty-print a term", ("term",), ()),
-    ("eval", cmd_eval, "fuel-bounded big-step evaluation", ("term",), (_int("--fuel", 16),)),
+    ("eval", cmd_eval, "fuel-bounded big-step evaluation", ("term",),
+     (_int("--fuel", 16, MAX_FUEL),)),
     ("trace", cmd_trace, "small-step reduction tree and table", ("term",), (
         ("--strategy", dict(choices=("head", "spine"), default="head")),
-        _int("--steps", 8),
-        _int("--cap", DEFAULT_LEAF_CAP),
+        _int("--steps", 8, MAX_STEPS),
+        _int("--cap", DEFAULT_LEAF_CAP, DEFAULT_LEAF_CAP),
     )),
     ("tree", cmd_tree, "level-indexed probabilistic tree", ("term",),
-     (_int("--level", 2), _int("--fuel", 16))),
+     (_int("--level", 2, MAX_LEVEL), _int("--fuel", 16, MAX_FUEL))),
     ("compare-tree", cmd_compare_tree, "three-valued tree equality", _PAIR,
-     (_int("--level", 2), _int("--fuel", 16))),
+     (_int("--level", 2, MAX_LEVEL), _int("--fuel", 16, MAX_FUEL))),
     ("bisim", cmd_game, "refute probabilistic bisimilarity", _PAIR,
-     (_int("--depth", 8), _int("--fuel", 8), _POOL, _int("--tree-level", 0))),
+     (_int("--depth", 8, MAX_DEPTH), _int("--fuel", 8, MAX_FUEL), _POOL,
+      _int("--tree-level", 0, MAX_LEVEL))),
     ("sim", cmd_game, "refute probabilistic similarity", _PAIR,
-     (_int("--depth", 6), _int("--fuel", 8), _POOL)),
+     (_int("--depth", 6, MAX_DEPTH), _int("--fuel", 8, MAX_FUEL), _POOL)),
     ("appcmp", cmd_appcmp, "applicative-context mass comparison", _PAIR,
-     (_int("--fuel", 8), _int("--maxlen", 2), _POOL)),
+     (_int("--fuel", 8, MAX_FUEL), _int("--maxlen", 2, MAX_DEPTH), _POOL)),
     ("assign", cmd_assign, "solve a probabilistic assignment problem", (),
      (("--problem", dict(required=True)),)),
     ("fixtures", cmd_fixtures, "replay all worked-example fixtures", (), ()),
     ("proptest", cmd_proptest, "randomized property checks", (),
-     (_int("--seed", 0), _int("--cases", 200))),
+     (("--seed", dict(type=int, default=0)), _int("--cases", 200, MAX_CASES))),
 )
 
 
@@ -461,30 +464,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for term in terms:
             p.add_argument(term)
-        for flag, kwargs in options:
+        for flag, kwargs, *_ in options:
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, caps=[option for option in options if len(option) == 3])
     return top
 
 
 def _check_caps(args) -> None:
-    checks = [
-        ("fuel", MAX_FUEL),
-        ("steps", MAX_STEPS),
-        ("level", MAX_LEVEL),
-        ("depth", MAX_DEPTH),
-        ("tree_level", MAX_LEVEL),
-        ("maxlen", MAX_DEPTH),
-        ("cap", DEFAULT_LEAF_CAP),
-        ("cases", MAX_CASES),
-    ]
-    for name, cap in checks:
-        value = getattr(args, name, None)
-        flag = "--" + name.replace("_", "-")
-        if value is not None and value > cap:
+    for flag, _, cap in args.caps:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value > cap:
             raise ResourceCapExceeded(f"{flag} {value} exceeds cap {cap}")
-        if value is not None and value < 0:
+        if value < 0:
             raise UsageError(f"{flag} must be non-negative")
 
 

@@ -1,6 +1,7 @@
 """The Markov chain of closed terms and distinguished head normal forms,
 with bounded game-style refutation of probabilistic (bi)similarity and
-applicative mass comparison.
+applicative mass comparison. Every state, and every Apply label, holds
+its closed term as `term`.
 
 Everything here refutes only: a returned witness is a replayable
 certificate of non-(bi)similarity, while None means "inconclusive at
@@ -22,40 +23,36 @@ DEFAULT_POOL_NAMES = ("I", "Omega", "Delta", "T", "F")
 STEP_FACTOR = 6
 
 
-class TermState:
+class _State:
+    """A closed term held as `term`: equal to one of its own class holding
+    an equal term, hashed once, shown as `Name(term)`."""
+
     __slots__ = ("term", "_hash")
 
     def __init__(self, term: Term):
         self.term = term
-        self._hash = hash(("term", term))
+        self._hash = hash((type(self), term))
 
     def __eq__(self, other):
-        return type(other) is TermState and other.term == self.term
+        return type(other) is type(self) and other.term == self.term
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"TermState({pretty(self.term)})"
+        return f"{type(self).__name__}({pretty(self.term)})"
 
 
-class HnfState:
-    """A distinguished hnf λx.H, stored binder-peeled as the body H."""
+class TermState(_State):
+    """A closed term M, which moves by τ."""
 
-    __slots__ = ("body", "_hash")
+    __slots__ = ()
 
-    def __init__(self, body: Term):
-        self.body = body
-        self._hash = hash(("hnf", body))
 
-    def __eq__(self, other):
-        return type(other) is HnfState and other.body == self.body
+class HnfState(_State):
+    """A distinguished hnf ν·λx.H, held as the closed abstraction λx.H."""
 
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"HnfState({pretty(Lam(self.body))})"
+    __slots__ = ()
 
 
 class Tau:
@@ -63,23 +60,13 @@ class Tau:
         return "tau"
 
 
-class Apply:
-    __slots__ = ("argument", "_hash")
+class Apply(_State):
+    __slots__ = ()
 
-    def __init__(self, argument: Term):
-        if not is_closed(argument):
+    def __init__(self, term: Term):
+        if not is_closed(term):
             raise ValueError("apply labels must be closed terms")
-        self.argument = argument
-        self._hash = hash(("apply", argument))
-
-    def __eq__(self, other):
-        return type(other) is Apply and other.argument == self.argument
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Apply({pretty(self.argument)})"
+        super().__init__(term)
 
 
 TAU = Tau()
@@ -96,27 +83,27 @@ def _step_budget(fuel: int) -> int:
 def transitions(state, label, fuel: int) -> Approx:
     """Transition probabilities of the chain, as a certified lower bound.
 
-    A term state, which must be closed, evaluates under τ, landing on
-    binder-peeled hnf states; a distinguished hnf consumes an Apply label
-    by substitution. All other pairs have no transitions at all (exactly).
+    A term state evaluates under τ, landing on distinguished hnf states;
+    a distinguished hnf λx.H consumes an Apply label by substituting its
+    term for x in H. All other pairs have no transitions at all (exactly).
+    Every state must be closed, and an hnf state must hold an abstraction.
     """
     _check_count(fuel, "fuel")
-    if isinstance(state, TermState) and label is TAU:
-        _check_closed(state)
+    _check_closed(state)
     return _transitions(state, label, fuel)
 
 
 def _check_closed(state) -> None:
-    """Refuse a term state or distinguished hnf whose term is open."""
+    """Refuse a state whose term is open, or an hnf state holding no abstraction."""
     if not _closed(state):
-        kind = "term" if isinstance(state, TermState) else "hnf"
-        raise ValueError(f"{kind} states must be closed terms")
+        if isinstance(state, TermState):
+            raise ValueError("term states must be closed terms")
+        raise ValueError("hnf states must be closed terms that are abstractions")
 
 
 def _closed(state) -> bool:
-    if isinstance(state, TermState):
-        return is_closed(state.term)
-    return not isinstance(state, HnfState) or is_closed(Lam(state.body))
+    return not isinstance(state, _State) or is_closed(state.term) and (
+        type(state.term) is Lam or not isinstance(state, HnfState))
 
 
 def _transitions(state, label, fuel: int) -> Approx:
@@ -131,10 +118,10 @@ def _transitions(state, label, fuel: int) -> Approx:
             if not isinstance(h, Lam):
                 # a closed hnf starts with a binder
                 raise ValueError("term states must be closed terms")
-            pairs.append((HnfState(h.body), w))
+            pairs.append((HnfState(h), w))
         return Approx(Distr(pairs), res.exact)
     if isinstance(state, HnfState) and isinstance(label, Apply):
-        succ = TermState(substitute(state.body, label.argument))
+        succ = TermState(substitute(state.term.body, label.term))
         return Approx(Distr([(succ, ONE)]), True)
     return _EMPTY_EXACT
 
@@ -146,7 +133,7 @@ def _transitions(state, label, fuel: int) -> Approx:
 class Witness:
     """A checkable separation certificate for a state pair.
 
-    `block` is a set of successor states such that every block member was
+    `block` is a tuple of successor states such that every block member was
     itself certifiably separated from every non-member (the sub-witnesses
     justify this); the probability intervals of entering the block then
     fail to intersect.
@@ -198,18 +185,14 @@ class TreeWitness:
         return f"TreeWitness(level={self.level}, {self.detail!r})"
 
 
-def _state_term(state) -> Term:
-    return state.term if isinstance(state, TermState) else Lam(state.body)
-
-
 def _disjoint(left: Tuple[Dyadic, Dyadic], right: Tuple[Dyadic, Dyadic]) -> bool:
     return left[0] > right[1] or right[0] > left[1]
 
 
 def _tree_witness(u, v, level: int, fuel: int) -> Optional[TreeWitness]:
     """Separation of two states by their level-`level` trees, or None."""
-    a = prob_tree(_state_term(u), level, fuel)
-    b = prob_tree(_state_term(v), level, fuel)
+    a = prob_tree(u.term, level, fuel)
+    b = prob_tree(v.term, level, fuel)
     verdict = tree_eq(a, b)
     return TreeWitness(level, verdict) if isinstance(verdict, Different) else None
 
@@ -228,10 +211,10 @@ class Lab:
         self._diff_memo: Dict[Tuple, Optional[object]] = {}
 
     def trans(self, state, label) -> Approx:
-        """`transitions` at this lab's fuel, memoised, for a closed state,
-        which is not checked here: the games λ-close their roots and
-        `verify_witness` checks its own, so states enter closed and stay
-        closed."""
+        """`transitions` at this lab's fuel, memoised, for a state whose
+        term is closed, which is not checked here: the games λ-close their
+        roots and `verify_witness` checks its own, so states enter closed
+        and stay closed."""
         key = (state, label)
         out = self._trans_memo.get(key)
         if out is None:
@@ -273,8 +256,7 @@ class Lab:
                     sub[(s1, s2)] = w
         # blocks are components of the not-provably-separated graph, so
         # cross-block pairs are all certified distinct
-        blocks = _components(support, sub)
-        for block in blocks:
+        for block in _blocks(_components(support, sub), du, dv):
             left = (du.lower(block), du.upper(block))
             right = (dv.lower(block), dv.upper(block))
             if _disjoint(left, right):
@@ -349,6 +331,16 @@ def _components(items, sub) -> List[List]:
     return out
 
 
+def _blocks(components: List[List], du: Approx, dv: Approx):
+    """The components, then, if there are several, the union of those where
+    u's lower mass is larger and that of those where v's is: closed too,
+    each separates in its direction whenever any union does."""
+    yield from components
+    if len(components) > 1:
+        for a, b in ((du, dv), (dv, du)):
+            yield [s for c in components if a.lower(c) > b.lower(c) for s in c]
+
+
 def _subsets(items) -> List[List]:
     out = []
     for mask in range(1, 1 << len(items)):
@@ -405,11 +397,17 @@ def verify_witness(u, v, witness, lab: Lab, bisim: bool) -> bool:
     contained in the contextual preorder, so `I (+) Omega`, simulated by
     `I`, may still differ from it in its tree. An open state raises
     `ValueError`; a certificate holding anything but a `Witness` or a
-    `TreeWitness`, at its root or below, is rejected.
+    `TreeWitness`, at its root or below, is rejected, as is a `Witness`
+    whose label is no label, whose block or image is no tuple of states,
+    or whose `sub` is no dict keyed by pairs of states.
     """
     _check_closed(u)
     _check_closed(v)
     return _verify(u, v, witness, lab, bisim)
+
+
+def _states(states) -> bool:
+    return isinstance(states, tuple) and all(isinstance(s, (TermState, HnfState)) for s in states)
 
 
 def _verify(u, v, witness, lab: Lab, bisim: bool) -> bool:
@@ -425,8 +423,14 @@ def _verify(u, v, witness, lab: Lab, bisim: bool) -> bool:
         )
     if not isinstance(witness, Witness):
         return False
+    image = witness.block if bisim else witness.image
+    if not (
+        (witness.label is TAU or isinstance(witness.label, Apply))
+        and _states(witness.block) and _states(image) and isinstance(witness.sub, dict)
+        and all(_states(pair) and len(pair) == 2 for pair in witness.sub)
+    ):
+        return False
     du, dv = lab.trans(u, witness.label), lab.trans(v, witness.label)
-    image = witness.block if bisim else witness.image or ()
     left = (du.lower(witness.block), du.upper(witness.block))
     right = (dv.lower(image), dv.upper(image))
     if left != witness.left or right != witness.right:

@@ -139,8 +139,8 @@ CASES: List[Tuple[str, Callable[[], object], Callable[[], object]]] = [
     (
         "markov-transitions",
         lambda: [_bound(transitions(TermState(Choice(T, F)), TAU, 4))]
-        + [_bound(transitions(s, Apply(I), 4)) for s in (HnfState(M48.body), TermState(T))],
-        lambda: [(Distr([(HnfState(T.body), HALF), (HnfState(F.body), HALF)]), True)]
+        + [_bound(transitions(s, Apply(I), 4)) for s in (HnfState(M48), TermState(T))],
+        lambda: [(Distr([(HnfState(T), HALF), (HnfState(F), HALF)]), True)]
         + [(Distr([(TermState(App(I, Choice(OMEGA, I))), ONE)]), True), (Distr(), True)],
     ),
     (

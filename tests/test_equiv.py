@@ -2,6 +2,7 @@ import pytest
 
 from plam.bigstep import eval_fuel
 from plam.equiv import (
+    DEFAULT_POOL_NAMES,
     Apply,
     HnfState,
     Lab,
@@ -28,7 +29,7 @@ def test_tau_transition_lands_on_peeled_hnfs():
     res = transitions(TermState(Choice(T, F)), TAU, 4)
     assert res.exact
     assert res.distr == Distr(
-        [(HnfState(T.body), D("1/2")), (HnfState(F.body), D("1/2"))]
+        [(HnfState(T), D("1/2")), (HnfState(F), D("1/2"))]
     )
 
 
@@ -56,7 +57,7 @@ def test_one_approx_contract_across_producers():
     by_tau = transitions(TermState(t), TAU, 4)
     assert by_tau.exact == by_steps.exact
     assert (by_tau.mass, by_tau.upper_mass) == (by_steps.mass, by_steps.upper_mass)
-    assert by_tau.upper((HnfState(I.body),)) == by_steps.upper((I,)) == D("1/2")
+    assert by_tau.upper((HnfState(I),)) == by_steps.upper((I,)) == D("1/2")
 
 
 def _chain(k):
@@ -79,7 +80,7 @@ def test_step_budget_is_six_per_fuel_and_at_least_eight(k, fuel, converged):
 
 
 def test_apply_transition_substitutes():
-    hs = HnfState(M48.body)
+    hs = HnfState(M48)
     res = transitions(hs, Apply(I), 4)
     assert res.exact
     assert res.distr == Distr([(TermState(App(I, Choice(OMEGA, I))), ONE)])
@@ -125,7 +126,7 @@ def test_equal_apply_labels_hash_alike():
 
 def test_mismatched_labels_have_no_transitions():
     assert not transitions(TermState(T), Apply(I), 4).distr
-    assert not transitions(HnfState(T.body), TAU, 4).distr
+    assert not transitions(HnfState(T), TAU, 4).distr
     assert transitions(TermState(T), Apply(I), 4).exact
 
 
@@ -316,12 +317,12 @@ def test_forged_bisim_witness_with_open_block_rejected():
     # the two hnfs are bisimilar, so no sub-witness can separate them; a
     # block holding one of them is not closed, though its intervals replay
     u, v = parse(r"\x.x (I I)"), parse(r"\x.x I")
-    forged = Witness(TAU, (HnfState(u.body),), (ONE, ONE), (ZERO, ZERO), {})
+    forged = Witness(TAU, (HnfState(u),), (ONE, ONE), (ZERO, ZERO), {})
     assert not verify_witness(TermState(u), TermState(v), forged, Lab(fuel=6), bisim=True)
 
 
 def test_forged_sim_witness_dropping_the_block_itself_rejected():
-    forged = Witness(TAU, (HnfState(Var(0)),), (ONE, ONE), (ZERO, ZERO), {}, image=())
+    forged = Witness(TAU, (HnfState(I),), (ONE, ONE), (ZERO, ZERO), {}, image=())
     assert not verify_witness(TermState(I), TermState(I), forged, Lab(fuel=6), bisim=False)
 
 
@@ -329,7 +330,7 @@ def test_forged_bisim_witness_with_overlapping_intervals_rejected():
     # I and I I both converge to I: the block intervals replay but overlap
     u, v = TermState(I), TermState(App(I, I))
     lab = Lab(fuel=6)
-    block = (HnfState(Var(0)),)
+    block = (HnfState(I),)
     du, dv = lab.trans(u, TAU), lab.trans(v, TAU)
     left, right = (du.lower(block), du.upper(block)), (dv.lower(block), dv.upper(block))
     assert left == right == (ONE, ONE)
@@ -398,7 +399,7 @@ def test_sim_witness_with_an_edited_displayed_end_rejected(end):
 def test_forged_sim_witness_whose_true_claims_do_not_separate_rejected():
     u = TermState(I)
     lab = Lab(fuel=6)
-    block = (HnfState(Var(0)),)
+    block = (HnfState(I),)
     d = lab.trans(u, TAU)
     forged = Witness(
         TAU, block, (d.lower(block), d.upper(block)), (d.lower(block), d.upper(block)), {},
@@ -462,3 +463,55 @@ def test_witness_with_a_sub_witness_of_another_type_rejected(bisim, junk):
 def test_missing_root_witness_rejected(bisim):
     u, v, _, lab = _fixture_certificate(bisim)
     assert verify_witness(u, v, None, lab, bisim=bisim) is False
+
+
+# a closed term that needs 14 head steps, more than fuels 1 and 2 give
+SLOW = "(\\f x." + "f (" * 12 + "x" + ")" * 12 + ") I I"
+
+
+@pytest.mark.parametrize("fuel", [1, 2])
+def test_bisim_separates_by_a_union_of_blocks(fuel):
+    # T and F are separated, so each is its own block, and neither alone
+    # separates: 3/8..5/8 against 0..1/2; together they do
+    pool = tuple(parse(name) for name in DEFAULT_POOL_NAMES)
+    m = parse(f"(T (+) F) (+) ((T (+) F) (+) {SLOW})")
+    n = parse(f"(I (+) \\x y z.z) (+) ({SLOW} (+) {SLOW})")
+    w = refute_bisim(m, n, depth=6, fuel=fuel, pool=pool)
+    assert set(w.block) == {HnfState(T), HnfState(F)}
+    assert (w.left, w.right) == ((D("3/4"), ONE), (ZERO, D("1/2")))
+    lab = Lab(fuel=fuel, pool=pool)
+    assert verify_witness(TermState(m), TermState(n), w, lab, bisim=True)
+
+
+_MALFORMED = {
+    "block-holding-a-list": lambda w: dict(block=(list(w.block),)),
+    "block-int": lambda w: dict(block=5),
+    "label-list": lambda w: dict(label=[w.label]),
+    "sub-none": lambda w: dict(sub=None),
+    "sub-key-single-state": lambda w: dict(sub={**w.sub, w.block[0]: next(iter(w.sub.values()))}),
+    "image-holding-a-list": lambda w: dict(image=(list(w.image),)),
+    "image-int": lambda w: dict(image=5),
+    "hnf-without-abstraction": lambda w: dict(
+        sub={**w.sub, (w.block[0], HnfState(App(I, I))): next(iter(w.sub.values()))}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bisim, case",
+    # a bisimulation witness has no image
+    [(True, c) for c in _MALFORMED if not c.startswith("image")] + [(False, c) for c in _MALFORMED],
+)
+def test_witness_with_malformed_fields_rejected(bisim, case):
+    u, v, w, lab = _fixture_certificate(bisim)
+    fields = dict(label=w.label, block=w.block, left=w.left, right=w.right, sub=w.sub,
+                  image=w.image)
+    fields.update(_MALFORMED[case](w))
+    assert verify_witness(u, v, Witness(**fields), lab, bisim=bisim) is False
+
+
+def test_hnf_state_holding_no_abstraction_refused():
+    with pytest.raises(ValueError, match="hnf states must be closed terms that are abstractions"):
+        verify_witness(HnfState(App(I, I)), TermState(I), None, Lab(fuel=4), bisim=True)
+    with pytest.raises(ValueError, match="hnf states must be closed terms that are abstractions"):
+        transitions(HnfState(App(I, I)), Apply(I), 4)
