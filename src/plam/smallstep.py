@@ -18,10 +18,21 @@ redex that the chain meets again (every round of a recursion through
 `Theta`) is substituted once; `converge` shares its table between the
 chain and the certification closure, which re-steps the chain's states.
 
-The chain's weights are integers: after k steps a live state carries a
-numerator over 2^k, k the steps run and never the budget, and an
-absorbed hnf its numerator with the step at which it last grew. The
-`Dyadic`s are built once, into the returned `Distr`.
+`step_n`, `converge` and `trace_tree` also own a focus table, dropped with
+the call. A framed state steps the same whatever its frames are, as long
+as its focus λⁿ.h M⃗ is the same: the frames are read only when the focus
+becomes an hnf and pops into the innermost one. So the table maps a
+focus, keyed by alpha-equivalence, to its successors in a placeholder
+frame `_TOP`, and a framed state takes them with `_TOP` replaced by its
+own frames; under the spine strategy a body below many enclosing redexes
+is stepped once per call, not once per redex. Frameless states, every
+head-strategy state among them, are stepped directly.
+
+The chain's weights are integers over one shared power of two 2^e: e
+grows by one on each step where a live state's head is a choice, so a
+chain of β-steps keeps its numerators as they are. An absorbed hnf keeps
+its numerator with the exponent at which it last grew. The `Dyadic`s are
+built once, into the returned `Distr`.
 """
 
 from __future__ import annotations
@@ -108,6 +119,41 @@ def _successor(s: HeadForm, spine: bool, beta: dict) -> Tuple[State, ...]:
     )
 
 
+# the frame a focus is stepped in for the focus table: a focus that pops
+# into it yields a form with no frames, every other successor's frames
+# end in it
+_TOP = HeadForm(0, None, ())
+
+
+def _attach(r: HeadForm, up: HeadForm) -> HeadForm:
+    """`r`, a successor of a focus in the frame `_TOP`, in the frames `up`."""
+    if r.up is _TOP:
+        return HeadForm(r.binders, r.head, r.args, up)
+    if r.up is None:
+        # the focus became an hnf: the innermost frame is the next redex
+        return HeadForm(up.binders, r.head, up.args, up.up)
+    # the step pushed frames above `_TOP`
+    pushed = []
+    while r is not _TOP:
+        pushed.append(r)
+        r = r.up
+    for f in reversed(pushed):
+        up = HeadForm(f.binders, f.head, f.args, up)
+    return up
+
+
+def _framed(s: HeadForm, spine: bool, beta: dict, foci: dict) -> Tuple[HeadForm, ...]:
+    """`_successor` of a state with frames, its focus stepped once per
+    `foci`, the caller's focus table."""
+    focus = (s.binders, s.head, s.args)
+    out = foci.get(focus)
+    if out is None:
+        out = foci[focus] = _successor(HeadForm(*focus, _TOP), spine, beta)
+    if len(out) == 1:
+        return (_attach(out[0], s.up),)
+    return (_attach(out[0], s.up), _attach(out[1], s.up))
+
+
 def _as_term(s: State) -> Term:
     if type(s) is not HeadForm:
         return s
@@ -138,60 +184,74 @@ def spine_step(t: Term) -> StepOutcome:
 
 
 def _run(
-    t: Term, steps: int, spine: bool, cap: int, beta: dict
+    t: Term, steps: int, spine: bool, cap: int, beta: dict, foci: dict
 ) -> Tuple[Distr, Dict[HeadForm, int], bool]:
     """Iterate the absorbing chain, merging equal states.
 
     Returns the absorbed hnf mass, the live states with their numerators,
-    and whether the chain stopped at a fixed point. After k steps a live
-    weight is its numerator over 2^k: a β-step doubles it, a choice step
-    keeps it on each branch. An absorbed hnf keeps its numerator with the
-    step at which it last grew, so the `Dyadic`s are built once, at the end.
-    A step that leaves every live weight as it was (each numerator doubled)
-    absorbed nothing, since every weight is positive and outcomes sum to
-    one, so every later step repeats it: the loop stops there with the
-    result the remaining steps would give.
+    and whether the chain stopped at a fixed point. A live weight is its
+    numerator over 2^e, the exponent e shared: a step where some live head
+    is a choice raises e by one, doubles the numerator of each state with
+    one successor and keeps it on each branch of a split; any other step
+    keeps every numerator. Whether the next step raises e is read off each
+    state as it enters `nxt`. An absorbed hnf keeps its numerator with the
+    exponent at which it last grew, so the `Dyadic`s are built once, at the
+    end.
+    A step that leaves every live weight as it was absorbed nothing, since
+    every weight is positive and outcomes sum to one, so every later step
+    repeats it: the loop stops there with the result the remaining steps
+    would give.
     """
     _check_count(steps, "steps")
+    _check_count(cap, "cap")
     absorbed: Dict[Term, Tuple[int, int]] = {}
     live: Dict[HeadForm, int] = {}
     s = _decompose(t, spine)
     if type(s) is HeadForm:
         live[s] = 1
+        split = type(s.head) is Choice
     else:
         absorbed[s] = (1, 0)
-    k = 0
+    e = k = 0
     fixed = False
     while live and k < steps:
         k += 1
+        rise = 1 if split else 0
+        e += rise
+        split = False
         nxt: Dict[HeadForm, int] = {}
         for s, w in live.items():
-            out = _successor(s, spine, beta)
+            out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
             if len(out) == 1:
-                w <<= 1
+                w <<= rise
             for s2 in out:
                 if type(s2) is HeadForm:
-                    nxt[s2] = nxt.get(s2, 0) + w
+                    v = nxt.get(s2)
+                    if v is None:
+                        nxt[s2] = w
+                        split = split or type(s2.head) is Choice
+                    else:
+                        nxt[s2] = v + w
                 else:
                     prev = absorbed.get(s2)
-                    absorbed[s2] = (w, k) if prev is None else ((prev[0] << (k - prev[1])) + w, k)
+                    absorbed[s2] = (w, e) if prev is None else ((prev[0] << (e - prev[1])) + w, e)
         if len(nxt) + len(absorbed) > cap:
             raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
         if len(nxt) == len(live):
             for s, w in live.items():
-                if nxt.get(s) != w << 1:
+                if nxt.get(s) != w << rise:
                     break
             else:
                 fixed = True
         live = nxt
         if fixed:
             break
-    return Distr((h, Dyadic(n, e)) for h, (n, e) in absorbed.items()), live, fixed
+    return Distr((h, Dyadic(n, x)) for h, (n, x) in absorbed.items()), live, fixed
 
 
 def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Distr:
     """Cumulative probability of having reached each hnf within n steps."""
-    return _run(t, n, _spine(strategy), cap, {})[0]
+    return _run(t, n, _spine(strategy), cap, {}, {})[0]
 
 
 def _core(s: HeadForm) -> HeadForm:
@@ -221,9 +281,10 @@ def converge(
     """
     spine = _spine(strategy)
     # the closure re-steps states that the chain just stepped, so both
-    # share one contraction table
+    # share one contraction table and one focus table
     beta: dict = {}
-    lower, live, fixed = _run(t, steps, spine, cap, beta)
+    foci: dict = {}
+    lower, live, fixed = _run(t, steps, spine, cap, beta, foci)
     if fixed:
         return Approx(lower, True)
     # the closure is over cores, states with their leading binders
@@ -235,7 +296,8 @@ def converge(
     work = list(dict.fromkeys(_core(s) for s in live))
     seen = set(work)
     for s in work:
-        for s2 in _successor(s, spine, beta):
+        out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
+        for s2 in out:
             if type(s2) is not HeadForm:
                 return Approx(lower, False)
             s2 = _core(s2)
@@ -256,8 +318,10 @@ def trace_tree(
     dictionaries with Dyadic probabilities.
     """
     _check_count(steps, "steps")
+    _check_count(cap, "cap")
     spine = _spine(strategy)
     beta: dict = {}
+    foci: dict = {}
     count = 0
 
     def node(s: State, p: Dyadic, depth: int) -> dict:
@@ -267,7 +331,7 @@ def trace_tree(
             raise ResourceCapExceeded(f"trace node count exceeded cap {cap}")
         entry = {"prob": p, "term": _as_term(s), "children": []}
         if depth < steps and type(s) is HeadForm:
-            out = _successor(s, spine, beta)
+            out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
             q = ONE if len(out) == 1 else HALF
             entry["children"] = [node(s2, q, depth + 1) for s2 in out]
         return entry

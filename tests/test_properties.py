@@ -518,8 +518,8 @@ def _or_cap(run):
         return "cap"
 
 
-def _converged(t, n, strategy):
-    res = converge(t, n, strategy, cap=512)
+def _converged(t, n, strategy, cap=512):
+    res = converge(t, n, strategy, cap=cap)
     return res.distr, res.exact
 
 
@@ -538,8 +538,8 @@ def test_fixed_point_stop_matches_every_step(t, n, strategy):
     )
 
 
-def _ref_converged(t, n, strategy):
-    res = oracles.converge_every_step(t, n, oracles.STEPS[strategy], 512)
+def _ref_converged(t, n, strategy, cap=512):
+    res = oracles.converge_every_step(t, n, oracles.STEPS[strategy], cap)
     return res.distr, res.exact
 
 
@@ -578,6 +578,38 @@ def test_refocused_chain_matches_the_term_chain(t, n, strategy):
         assert list(rows.items()) == list(ref.items())
     assert _or_cap(lambda: _converged(t, n, strategy)) == _or_cap(
         lambda: _ref_converged(t, n, strategy)
+    )
+
+
+def test_head_and_spine_tables_agree_on_the_branching_walk():
+    # the agreement that the benchmark's step-table check relies on
+    walk = WALKS[1]
+    for n in range(41):
+        assert list(step_n(walk, n, "spine").items()) == list(step_n(walk, n, "head").items())
+
+
+def _nested(inner, k):
+    """(\\x1.(\\x2.…(\\xk.inner) a…) a) a: spine steps it below k frames."""
+    for _ in range(k):
+        inner = App(Lam(inner), Free("a"))
+    return inner
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.sampled_from(WALKS), st.integers(0, 8), st.integers(0, 24))
+def test_framed_spine_chain_matches_the_term_chain(inner, k, n):
+    # the foci repeat under every enclosing redex, and the focus table
+    # steps each once
+    t = _nested(inner, k)
+    step = oracles.STEPS["spine"]
+    rows = _or_cap(lambda: step_n(t, n, "spine", cap=512))
+    ref = _or_cap(lambda: Distr(run_every_step(t, n, step, 512)[0].items()))
+    assert rows == ref
+    if rows != "cap":
+        assert list(rows.items()) == list(ref.items())
+    # a small cap: the plain walk's closure grows until it hits the cap
+    assert _or_cap(lambda: _converged(t, n, "spine", 64)) == _or_cap(
+        lambda: _ref_converged(t, n, "spine", 64)
     )
 
 

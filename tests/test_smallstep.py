@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from plam import bigstep, smallstep
 from plam.bigstep import eval_fuel
 from plam.prob import Distr, Dyadic, ONE
 from plam.smallstep import (
+    DEFAULT_LEAF_CAP,
     ResourceCapExceeded,
     converge,
     head_step,
@@ -103,6 +107,19 @@ def test_non_integer_steps_rejected(entry):
         entry(parse("a (+) b"), 2.5)
 
 
+@pytest.mark.parametrize("entry", (step_n, converge, trace_tree))
+def test_negative_cap_rejected(entry):
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        entry(parse("I I"), 3, cap=-1)
+
+
+@pytest.mark.parametrize("entry", (step_n, converge, trace_tree))
+@pytest.mark.parametrize("cap", (None, "3", 2.5))
+def test_non_integer_cap_rejected(entry, cap):
+    with pytest.raises(TypeError, match="cap must be an int"):
+        entry(parse("I I"), 3, cap=cap)
+
+
 def test_cap_enforced():
     # a term that doubles its live states every step
     t = parse(r"(\x.(x (+) a) (+) (x (+) b)) c")
@@ -172,6 +189,15 @@ def test_weights_grow_with_the_steps_run_not_the_budget(monkeypatch):
     res, calls = _successor_calls(monkeypatch, lambda: converge(parse(r"(\x.x) (\x.x)"), 10**7))
     assert res.exact and res.distr == Distr([(parse("I"), ONE)])
     assert calls == 1
+
+
+def test_numerators_stay_small_on_a_chain_of_beta_steps():
+    # a deterministic 2-cycle: no step takes a choice, so the shared
+    # exponent never rises and no numerator grows with the steps run
+    t = parse(r"(\x. (\y. x x) I) (\x. (\y. x x) I)")
+    distr, live, fixed = smallstep._run(t, 100_000, False, DEFAULT_LEAF_CAP, {}, {})
+    assert distr == Distr() and not fixed
+    assert live and all(w < 2 for w in live.values())
 
 
 def test_cap_is_checked_before_the_fixed_point_stop():
@@ -280,6 +306,46 @@ def test_head_chain_contracts_each_redex_once(monkeypatch):
     monkeypatch.setattr(smallstep, "_successor", counting)
     calls = _substitute_calls(monkeypatch, smallstep, lambda: step_n(t, 64, "head"))
     assert 0 < calls < beta_steps[0]
+
+
+def test_spine_chain_steps_each_focus_once(monkeypatch):
+    # a body below enclosing redexes steps the same whatever they are, so
+    # one call contracts and refocuses each focus once: here 782 foci,
+    # where stepping every state anew makes 14 586 successor calls
+    foci = []
+    successor = smallstep._successor
+
+    def counting(s, *rest):
+        foci.append((s.binders, s.head, s.args))
+        return successor(s, *rest)
+
+    monkeypatch.setattr(smallstep, "_successor", counting)
+    step_n(parse(BRANCHING_WALK), 52, "spine")
+    assert len(foci) == len(set(foci)) > 0
+
+
+def test_spine_calls_retain_no_memory_between_calls():
+    # twenty distinct branching walks: a focus or contraction table that
+    # outlives its call keeps every state of every one of them alive
+    walk = r"Theta (\f x.x (+) (f (a{0} x) (+) f (b{0} x))) z"
+    for run in (
+        lambda t: step_n(t, 32, "spine"),
+        lambda t: converge(t, 32, "spine", cap=512),
+        lambda t: trace_tree(t, 10, "spine"),
+    ):
+        terms = [parse(walk.format(i)) for i in range(21)]
+        run(terms.pop())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in terms:
+                assert run(t)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 1024
 
 
 def test_trace_tree_shape():
