@@ -7,8 +7,9 @@ shares s_{k,I} ∈ [0,1] with p_k ≤ Σ_{I∋k} s_{k,I}·r_I and Σ_{k∈I} s_{
 
 Solving runs one bipartite max flow with exact rational arithmetic:
 supplies feed subset nodes, demands drain item nodes, and an uncapped
-edge I→k exists when k ∈ I. Instance sizes are tiny (n capped), so a
-plain augmenting-path max flow suffices. When the flow meets every
+edge I→k exists when k ∈ I. Instances are small (a CLI problem file,
+or one lifting check of the simulation game), so a plain
+augmenting-path max flow suffices. When the flow meets every
 demand, the shares are flow divided by supply. Otherwise the flow also
 decides the witness (Ford & Fulkerson, "Maximal flow through a network",
 1956). The shortfall of a set S of demands is Σ_{k∈S} p_k − Σ_{I∩S≠∅} r_I.
@@ -26,8 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
-DEFAULT_N_CAP = 12
-
 Subset = FrozenSet[int]
 
 
@@ -35,8 +34,6 @@ class AssignmentProblem:
     def __init__(self, p: Sequence[Fraction], r: Dict[Subset, Fraction]):
         self.p = [Fraction(x) for x in p]
         self.n = len(self.p)
-        if self.n > DEFAULT_N_CAP:
-            raise ValueError(f"assignment size {self.n} exceeds cap {DEFAULT_N_CAP}")
         self.r = {}
         for subset, value in r.items():
             subset = frozenset(subset)
@@ -65,13 +62,6 @@ class Infeasible:
 
     def __repr__(self):
         return f"Infeasible(witness={sorted(self.witness)})"
-
-
-# A middle edge I→k never saturates: all flow enters through the
-# supplies, whose total is at most 4 095 (one supply of at most 1 for
-# each nonempty subset of at most 12 demands), far below INF. So no
-# minimum cut contains a middle edge.
-INF = Fraction(10**9)
 
 
 def _search(adj, cap, start: int, forward: bool, goal: int = -1) -> Dict[int, int]:
@@ -152,9 +142,12 @@ def assignment_solve(problem: AssignmentProblem) -> Union[AssignmentSolution, In
         add_edge(0, subset_node[s], problem.r[s])
     for k, node in item_node.items():
         add_edge(node, 1, problem.p[k - 1])
+    # all flow enters through the supplies, whose total is below `uncapped`,
+    # so a middle edge never saturates and no minimum cut contains one
+    uncapped = 1 + sum(problem.r.values(), Fraction(0))
     for s in subsets:
         for k in s:
-            add_edge(subset_node[s], item_node[k], INF)
+            add_edge(subset_node[s], item_node[k], uncapped)
     _max_flow(adj, cap)
     # a demand that can still reach the sink is one the flow leaves unmet,
     # or one that could pass its supply on to such a demand

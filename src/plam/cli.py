@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .assign import DEFAULT_N_CAP, AssignmentProblem, Infeasible, assignment_solve
+from .assign import AssignmentProblem, Infeasible, assignment_solve
 from .bigstep import eval_fuel
 from .equiv import DEFAULT_POOL_NAMES, TreeWitness, applicative_compare, refute_bisim, refute_sim
 from .fixtures import run_fixtures
@@ -43,6 +43,7 @@ MAX_DEPTH = 16
 MAX_SEQUENCES = 1000  # argument sequences of one `appcmp` call
 MAX_EXPONENT = 1000  # decimal exponent of a number in a problem file
 MAX_CASES = 10_000  # random terms of one `proptest` call
+MAX_DEMANDS = 12  # demands of one `assign` problem file
 
 DEFAULT_POOL = ",".join(DEFAULT_POOL_NAMES)
 
@@ -340,8 +341,8 @@ def cmd_assign(args) -> Answer:
     p, r = data.get("p", []), data.get("r", {})
     if not isinstance(p, list) or not isinstance(r, dict):
         raise UsageError('problem file: "p" must be a list and "r" an object')
-    if len(p) > DEFAULT_N_CAP:
-        raise ResourceCapExceeded(f"assignment size {len(p)} exceeds cap {DEFAULT_N_CAP}")
+    if len(p) > MAX_DEMANDS:
+        raise ResourceCapExceeded(f"assignment size {len(p)} exceeds cap {MAX_DEMANDS}")
     problem = AssignmentProblem(
         [_number(x) for x in p], {_parse_subset(k): _number(v) for k, v in r.items()}
     )

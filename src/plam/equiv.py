@@ -8,12 +8,19 @@ certificate of non-(bi)similarity, while None means "inconclusive at
 these bounds", never an equivalence certificate. All mass comparisons are
 interval comparisons: evaluation yields lower bounds, and the upper end
 of an interval closes only when the residual was certified divergent.
+
+A simulation block is chosen by one max flow: the lifting check poses an
+assignment problem, a demand per left state and a supply per set of left
+states that right states may still lie above, to `plam.assign`, and takes
+the block from the minimum cut of the flow it runs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .assign import AssignmentProblem, Infeasible, assignment_solve
 from .prob import Approx, Dyadic, Distr, ONE
 from .smallstep import converge
 from .syntax import App, Lam, Term, _check_count, free_vars, is_closed, lam_close, pretty, substitute
@@ -285,30 +292,59 @@ class Lab:
                     above[s1].append(s2)
                 else:
                     sub[(s1, s2)] = w
-        subsets = _subsets(left_support) if len(left_support) <= 8 else [
-            [s] for s in left_support
-        ] + [left_support]
-        for block in subsets:
-            image = set()
-            for s1 in block:
-                image.update(above[s1])
-            left_lower = du.lower(block)
-            right_upper = dv.upper(image)
-            if left_lower > right_upper:
-                used = {
-                    pair: w
-                    for pair, w in sub.items()
-                    if pair[0] in block and pair[1] not in image
-                }
-                return Witness(
-                    label,
-                    tuple(block),
-                    (left_lower, du.upper(block)),
-                    (dv.lower(image), right_upper),
-                    used,
-                    image=tuple(image),
-                )
-        return None
+        found = _sim_block(du, dv, above)
+        if found is None:
+            return None
+        block, image = found
+        used = {
+            pair: w for pair, w in sub.items() if pair[0] in block and pair[1] not in image
+        }
+        return Witness(
+            label,
+            tuple(block),
+            (du.lower(block), du.upper(block)),
+            (dv.lower(image), dv.upper(image)),
+            used,
+            image=tuple(image),
+        )
+
+
+def _sim_block(
+    du: Approx, dv: Approx, above: Dict[object, List[object]]
+) -> Optional[Tuple[List, set]]:
+    """A block of left states whose lower mass under `du` beats the upper
+    mass under `dv` of its image, the right states that `above` may still
+    put above a member, as `(block, image)`; None when no block does.
+
+    `upper` adds `dv`'s deficit once, whatever the keys, so a block
+    separates just when its shortfall, its lower mass minus its image's,
+    beats that deficit. With one demand per left state and one supply per
+    set of left states that right states may lie above, the assignment
+    problem is infeasible just when some block has a positive shortfall,
+    and its witness has the largest (Strassen; Baier, Engelen &
+    Majster-Cieslak, 2000): that block separates if any does. A lone left
+    state is its own only candidate, checked without the flow.
+    """
+    left = list(above)
+    if len(left) == 1:
+        block = left
+    else:
+        below: Dict[object, List[int]] = {}
+        for k, s1 in enumerate(left, 1):
+            for s2 in above[s1]:
+                below.setdefault(s2, []).append(k)
+        supply: Dict[frozenset, Fraction] = {}
+        for s2, ks in below.items():
+            w = dv.distr.weight(s2)
+            key = frozenset(ks)
+            supply[key] = supply.get(key, 0) + Fraction(w.num, 1 << w.exp)
+        demand = [Fraction(w.num, 1 << w.exp) for w in map(du.distr.weight, left)]
+        verdict = assignment_solve(AssignmentProblem(demand, supply))
+        if not isinstance(verdict, Infeasible):
+            return None
+        block = [left[k - 1] for k in sorted(verdict.witness)]
+    image = {s2 for s1 in block for s2 in above[s1]}
+    return (block, image) if du.lower(block) > dv.upper(image) else None
 
 
 def _components(items, sub) -> List[List]:
@@ -339,13 +375,6 @@ def _blocks(components: List[List], du: Approx, dv: Approx):
     if len(components) > 1:
         for a, b in ((du, dv), (dv, du)):
             yield [s for c in components if a.lower(c) > b.lower(c) for s in c]
-
-
-def _subsets(items) -> List[List]:
-    out = []
-    for mask in range(1, 1 << len(items)):
-        out.append([s for i, s in enumerate(items) if mask & (1 << i)])
-    return out
 
 
 def _closed_pair(m: Term, n: Term) -> Tuple[Term, Term]:

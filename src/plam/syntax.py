@@ -344,8 +344,9 @@ class ResourceCapExceeded(RuntimeError):
 
 def _check_count(value: int, what: str) -> None:
     """Reject a count bound (fuel, steps, level, depth) that is not a
-    non-negative int; every evaluator and game checks its bounds here."""
-    if not isinstance(value, int):
+    non-negative int, a `bool` included; every evaluator and game checks
+    its bounds here."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int, not {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{what} must be non-negative")

@@ -36,6 +36,19 @@ _NAME_START = set(string.ascii_letters + "_")
 _NAME_CHARS = set(string.ascii_letters + string.digits + "_'")
 
 
+def sim_block_exists(du: Approx, dv: Approx, above: Dict) -> bool:
+    """Reference for `equiv._sim_block`: whether some nonempty set of left
+    states, out of all 2ⁿ − 1, has a lower mass under `du` above the upper
+    mass under `dv` of the right states `above` may put above a member."""
+    left = list(above)
+    for mask in range(1, 1 << len(left)):
+        block = [s for i, s in enumerate(left) if mask >> i & 1]
+        image = {s2 for s1 in block for s2 in above[s1]}
+        if du.lower(block) > dv.upper(image):
+            return True
+    return False
+
+
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
     """Reference for `syntax._tokenize`: one character at a time."""
     tokens = []

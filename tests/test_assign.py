@@ -33,8 +33,11 @@ def test_problem_validation():
         AssignmentProblem([Fraction(3, 2)], {})
     with pytest.raises(ValueError):
         AssignmentProblem([Fraction(1, 2)], {frozenset({1}): Fraction(2)})
-    with pytest.raises(ValueError):
-        AssignmentProblem([Fraction(1, 2)] * 20, {})
+    # no size cap: the library solves a problem of any size
+    prob = AssignmentProblem(
+        [Fraction(1, 2)] * 20, {frozenset({k}): Fraction(1, 2) for k in range(1, 21)}
+    )
+    assert assignment_solve(prob).check(prob)
 
 
 def test_zero_supplies_dropped():

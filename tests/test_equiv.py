@@ -18,7 +18,7 @@ from plam.equiv import (
 )
 from plam.fixtures import M24, M48, N24, N48
 from plam.prob import Distr, Dyadic, ONE, ZERO
-from plam.smallstep import converge
+from plam.smallstep import converge, step_n
 from plam.syntax import App, Choice, DELTA, I, OMEGA, T, F, ResourceCapExceeded, Var, parse
 from plam.trees import Different, prob_tree, value_tree
 
@@ -167,9 +167,16 @@ def test_negative_fuel_rejected(call):
         (lambda: refute_sim(I, OMEGA, depth=2.5), "depth"),
         (lambda: applicative_compare(I, OMEGA, [[I]], fuel=2.5), "fuel"),
         (lambda: transitions(TermState(I), TAU, 2.5), "fuel"),
+        # a bool is an int to Python, yet no count
+        (lambda: eval_fuel(parse("a (+) b"), True), "fuel"),
+        (lambda: Lab(fuel=True), "fuel"),
+        (lambda: Lab(tree_level=True), "tree level"),
+        (lambda: refute_sim(I, OMEGA, depth=True), "depth"),
+        (lambda: step_n(parse("a (+) b"), True), "steps"),
     ),
     ids=("lab-fuel", "lab-tree-level", "bisim-tree-level", "bisim-depth", "sim-depth",
-         "applicative", "transitions"),
+         "applicative", "transitions", "eval-fuel-bool", "lab-fuel-bool",
+         "lab-tree-level-bool", "sim-depth-bool", "steps-bool"),
 )
 def test_non_integer_bounds_rejected(call, message):
     with pytest.raises(TypeError, match=f"{message} must be an int"):
@@ -408,8 +415,7 @@ def test_forged_sim_witness_whose_true_claims_do_not_separate_rejected():
     assert not verify_witness(u, u, forged, lab, bisim=False)
 
 
-def test_sim_over_nine_left_states_falls_back_to_the_whole_support():
-    # more than 8 left states: singletons and the whole support are tried
+def test_sim_over_nine_left_states_finds_the_whole_support():
     hnfs = [r"\x.x", r"\x y.x", r"\x y.y", r"\x y z.x", r"\x y z.y", r"\x y z.z",
             r"\x y z u.x", r"\x y z u.y", r"\x y z u.z"]
     m = parse(" (+) ".join(f"({h})" for h in hnfs))
@@ -418,6 +424,30 @@ def test_sim_over_nine_left_states_falls_back_to_the_whole_support():
     assert len(w.block) == 9
     assert (w.left[0], w.right[1]) == (ONE, D("255/256"))
     assert verify_witness(TermState(m), TermState(n), w, Lab(fuel=8), bisim=False)
+
+
+def _balanced(leaves):
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return Choice(_balanced(leaves[:half]), _balanced(leaves[half:]))
+
+
+@pytest.mark.parametrize("n", (9, 12))
+def test_sim_finds_the_two_state_block_among_many_left_states(n):
+    # n hnfs of weight 1/16 a side, the rest Omega; R_j = \x.x M_j, where
+    # M_j reaches I with mass 2^(1-j). Only R_1 = I lies above the left
+    # states I and T, and R_2 lies above every other left state, as does
+    # its own copy, so only the block {I, T} separates: no singleton does,
+    # nor the whole support
+    right = [I] + [parse(r"\x.x (" + "Omega (+) " * (j - 2) + "I (+) Omega)")
+                   for j in range(2, n + 1)]
+    pad = [OMEGA] * (16 - n)
+    m, v = _balanced([I, T] + right[2:] + pad), _balanced(right + pad)
+    w = refute_sim(m, v, depth=3, fuel=8, pool=(I,))
+    assert w.block == (HnfState(I), HnfState(T)) and w.image == (HnfState(I),)
+    assert (w.left, w.right) == ((D("1/8"), D("1/8")), (D("1/16"), D("1/16")))
+    assert verify_witness(TermState(m), TermState(v), w, Lab(fuel=8, pool=(I,)), bisim=False)
 
 
 def test_applicative_compare_separation():

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from plam import syntax
 from plam.bigstep import eval_fuel
-from plam.equiv import Lab, TermState, refute_bisim, refute_sim, verify_witness
+from plam.equiv import Lab, TermState, _sim_block, refute_bisim, refute_sim, verify_witness
 from plam.gen import random_term
-from plam.prob import Distr, Dyadic, ONE, ZERO
+from plam.prob import Approx, Distr, Dyadic, ONE, ZERO
 from plam.smallstep import converge, head_step, spine_step, step_n
 from plam.syntax import (
     I,
@@ -636,3 +636,31 @@ def test_game_witness_survives_more_fuel(m, n, f, k, bisim):
         assert w is not None
         lab = Lab(fuel=f + k, pool=GAME_POOL)
         assert verify_witness(TermState(u), TermState(v), w, lab, bisim)
+
+
+@st.composite
+def liftings(draw):
+    """A lifting check: up to 8 left and 8 right states of weight k/32, a
+    random relation of which right states may lie above which left
+    states, and a right side exact or not."""
+    left = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    right = draw(st.lists(st.integers(1, 4), max_size=8))
+    du = Approx(Distr((("L", i), Dyadic(k, 5)) for i, k in enumerate(left)), True)
+    dv = Approx(Distr((("R", j), Dyadic(k, 5)) for j, k in enumerate(right)), draw(st.booleans()))
+    above = {
+        ("L", i): [("R", j) for j in range(len(right)) if draw(st.booleans())]
+        for i in range(len(left))
+    }
+    return du, dv, above
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(liftings())
+def test_sim_block_agrees_with_enumeration(lifting):
+    du, dv, above = lifting
+    found = _sim_block(du, dv, above)
+    assert (found is not None) == oracles.sim_block_exists(du, dv, above)
+    if found is not None:
+        block, image = found
+        assert image == {s2 for s1 in block for s2 in above[s1]}
+        assert du.lower(block) > dv.upper(image)

@@ -114,7 +114,7 @@ def test_negative_cap_rejected(entry):
 
 
 @pytest.mark.parametrize("entry", (step_n, converge, trace_tree))
-@pytest.mark.parametrize("cap", (None, "3", 2.5))
+@pytest.mark.parametrize("cap", (None, "3", 2.5, True))
 def test_non_integer_cap_rejected(entry, cap):
     with pytest.raises(TypeError, match="cap must be an int"):
         entry(parse("I I"), 3, cap=cap)
