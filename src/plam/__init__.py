@@ -45,4 +45,16 @@ from .assign import (
     assignment_solve,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names above, not the submodules that the imports also bind
+__all__ = [
+    "Approx", "Distr", "Dyadic", "point",
+    "App", "Choice", "CONSTANTS", "Free", "Lam", "ResourceCapExceeded", "Term", "Var",
+    "classify", "free_vars", "is_hnf", "lam_close", "parse", "pretty", "size", "substitute",
+    "eval_fuel",
+    "converge", "head_step", "spine_step", "step_n",
+    "Different", "Equal", "ProbTree", "Unknown", "ValueTree", "eta_tree", "prob_tree",
+    "tree_eq", "value_tree",
+    "Apply", "HnfState", "TAU", "TermState", "applicative_compare", "refute_bisim",
+    "refute_sim", "transitions",
+    "AssignmentProblem", "AssignmentSolution", "Infeasible", "assignment_solve",
+]

@@ -35,15 +35,19 @@ class AssignmentProblem:
         self.p = [Fraction(x) for x in p]
         self.n = len(self.p)
         self.r = {}
+        given = set()
         for subset, value in r.items():
             subset = frozenset(subset)
             if not subset or not subset.issubset(range(1, self.n + 1)):
                 raise ValueError(f"subset {set(subset)} out of range 1..{self.n}")
+            if subset in given:
+                raise ValueError(f"subset {sorted(subset)} given twice")
+            given.add(subset)
             value = Fraction(value)
             if value < 0 or value > 1:
                 raise ValueError("supplies must lie in [0,1]")
             if value:
-                self.r[subset] = self.r.get(subset, Fraction(0)) + value
+                self.r[subset] = value
         for x in self.p:
             if x < 0 or x > 1:
                 raise ValueError("demands must lie in [0,1]")

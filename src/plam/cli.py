@@ -305,6 +305,17 @@ def _parse_subset(key: str) -> frozenset:
     return frozenset(int(p) for p in inner.split(",") if p.strip())
 
 
+def _json_object(pairs: list) -> dict:
+    """One object of a problem file; `json` would keep only the last of a
+    repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise UsageError(f"problem file: key {json.dumps(key)} given twice")
+        out[key] = value
+    return out
+
+
 def _assign_text(p: dict) -> List[str]:
     if not p["feasible"]:
         return [f"infeasible, witness subset {p['witness']}"]
@@ -333,7 +344,7 @@ def _number(value) -> Fraction:
 def cmd_assign(args) -> Answer:
     with open(args.problem, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_float=str)
+            data = json.load(fh, parse_float=str, object_pairs_hook=_json_object)
         except RecursionError:
             raise UsageError("problem file nests too deeply") from None
     if not isinstance(data, dict):
@@ -343,9 +354,13 @@ def cmd_assign(args) -> Answer:
         raise UsageError('problem file: "p" must be a list and "r" an object')
     if len(p) > MAX_DEMANDS:
         raise ResourceCapExceeded(f"assignment size {len(p)} exceeds cap {MAX_DEMANDS}")
-    problem = AssignmentProblem(
-        [_number(x) for x in p], {_parse_subset(k): _number(v) for k, v in r.items()}
-    )
+    supply = {}
+    for k, v in r.items():
+        subset = _parse_subset(k)
+        if subset in supply:
+            raise UsageError(f"problem file: subset {sorted(subset)} given twice")
+        supply[subset] = _number(v)
+    problem = AssignmentProblem([_number(x) for x in p], supply)
     result = assignment_solve(problem)
     if isinstance(result, Infeasible):
         payload = {"feasible": False, "witness": sorted(result.witness)}

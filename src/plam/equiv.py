@@ -18,6 +18,7 @@ the block from the minimum cut of the flow it runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .assign import AssignmentProblem, Infeasible, assignment_solve
@@ -30,21 +31,17 @@ DEFAULT_POOL_NAMES = ("I", "Omega", "Delta", "T", "F")
 STEP_FACTOR = 6
 
 
-class _State:
-    """A closed term held as `term`: equal to one of its own class holding
-    an equal term, hashed once, shown as `Name(term)`."""
+class _State(tuple):
+    """A closed term held as `term`: the pair (kind, term), compared and
+    hashed as a tuple, so equal to one of its own class holding an equal
+    term; shown as `Name(term)`."""
 
-    __slots__ = ("term", "_hash")
+    __slots__ = ()
 
-    def __init__(self, term: Term):
-        self.term = term
-        self._hash = hash((type(self), term))
+    def __new__(cls, term: Term):
+        return super().__new__(cls, (cls, term))
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.term == self.term
-
-    def __hash__(self):
-        return self._hash
+    term = property(itemgetter(1))
 
     def __repr__(self):
         return f"{type(self).__name__}({pretty(self.term)})"
@@ -70,10 +67,10 @@ class Tau:
 class Apply(_State):
     __slots__ = ()
 
-    def __init__(self, term: Term):
+    def __new__(cls, term: Term):
         if not is_closed(term):
             raise ValueError("apply labels must be closed terms")
-        super().__init__(term)
+        return super().__new__(cls, term)
 
 
 TAU = Tau()
@@ -118,15 +115,16 @@ def _transitions(state, label, fuel: int) -> Approx:
     closed, a closed term reducing to closed hnfs and a closed hnf applied
     to a closed label argument being closed, so only the states that enter
     it from outside need the walk that `is_closed` takes."""
+    # a plain (kind, term) tuple equals its state: keep it out of `Lab` memos
+    for x in (state, label):
+        if x is not TAU and not isinstance(x, _State):
+            raise TypeError(f"a state or label must be built by its class, not a {type(x).__name__}")
     if isinstance(state, TermState) and label is TAU:
         res = converge(state.term, _step_budget(fuel))
-        pairs = []
-        for h, w in res.distr.items():
-            if not isinstance(h, Lam):
-                # a closed hnf starts with a binder
-                raise ValueError("term states must be closed terms")
-            pairs.append((HnfState(h), w))
-        return Approx(Distr(pairs), res.exact)
+        if not all(isinstance(h, Lam) for h in res.distr.support()):
+            # a closed hnf starts with a binder
+            raise ValueError("term states must be closed terms")
+        return Approx(res.distr.map_support(HnfState), res.exact)
     if isinstance(state, HnfState) and isinstance(label, Apply):
         succ = TermState(substitute(state.term.body, label.term))
         return Approx(Distr([(succ, ONE)]), True)

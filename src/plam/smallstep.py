@@ -212,6 +212,8 @@ def _run(
         split = type(s.head) is Choice
     else:
         absorbed[s] = (1, 0)
+    if len(live) + len(absorbed) > cap:
+        raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
     e = k = 0
     fixed = False
     while live and k < steps:

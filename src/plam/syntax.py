@@ -343,7 +343,7 @@ class ResourceCapExceeded(RuntimeError):
 
 
 def _check_count(value: int, what: str) -> None:
-    """Reject a count bound (fuel, steps, level, depth) that is not a
+    """Reject a count bound (fuel, steps, cap, level, depth) that is not a
     non-negative int, a `bool` included; every evaluator and game checks
     its bounds here."""
     if not isinstance(value, int) or isinstance(value, bool):

@@ -33,6 +33,9 @@ def test_problem_validation():
         AssignmentProblem([Fraction(3, 2)], {})
     with pytest.raises(ValueError):
         AssignmentProblem([Fraction(1, 2)], {frozenset({1}): Fraction(2)})
+    # two keys naming one subset: neither supply may be lost or merged
+    with pytest.raises(ValueError, match=r"subset \[1\] given twice"):
+        AssignmentProblem([Fraction(1)], {(1,): Fraction(3, 4), frozenset({1}): Fraction(3, 4)})
     # no size cap: the library solves a problem of any size
     prob = AssignmentProblem(
         [Fraction(1, 2)] * 20, {frozenset({k}): Fraction(1, 2) for k in range(1, 21)}

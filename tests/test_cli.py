@@ -213,6 +213,24 @@ def test_assign_infeasible(tmp_path, capsys):
     assert payload == {"feasible": False, "witness": [1]}
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    (
+        ('{"p": ["1"], "r": {"{1}": "3/4", "{ 1 }": "3/4"}}', "subset [1]"),
+        ('{"p": ["1", "1"], "r": {"{1,2}": "3/4", "{2,1}": "3/4"}}', "subset [1, 2]"),
+        ('{"p": ["1"], "r": {"{1}": "3/4", "{1}": "3/4"}}', 'key "{1}"'),
+    ),
+    ids=("spacing", "order", "repeated-key"),
+)
+def test_assign_subset_given_twice_exits_one(tmp_path, capsys, text, named):
+    # one of the two supplies of 3/4 would be lost, making the problem infeasible
+    problem = tmp_path / "problem.json"
+    problem.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "assign", "--problem", str(problem))
+    assert (code, out) == (1, "")
+    assert err == f"error: problem file: {named} given twice\n"
+
+
 def test_assign_missing_file(capsys):
     code, _, err = run(capsys, "assign", "--problem", "no-such-file.json")
     assert code == 1

@@ -328,6 +328,58 @@ def test_forged_bisim_witness_with_open_block_rejected():
     assert not verify_witness(TermState(u), TermState(v), forged, Lab(fuel=6), bisim=True)
 
 
+def test_states_and_labels_over_one_term_are_unequal():
+    assert len({TermState(I), HnfState(I), Apply(I)}) == 3
+
+
+@pytest.mark.parametrize("kind", (TermState, HnfState, Apply))
+def test_equal_terms_built_apart_give_equal_states(kind):
+    m, n = parse(r"\x y.x"), parse(r"\a b.a")
+    assert m is not n
+    a, b = kind(m), kind(n)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.term is m and b.term is n
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda lab, u, v, w: verify_witness(tuple(u), v, w, lab, bisim=True),
+        lambda lab, u, v, w: lab.diff(tuple(u), v, 2, True),
+        lambda lab, u, v, w: lab.trans(HnfState(I), tuple(Apply(I))),
+        lambda lab, u, v, w: transitions(tuple(u), TAU, 4),
+    ),
+    ids=("verify-root", "diff", "trans-label", "transitions"),
+)
+def test_plain_tuple_state_or_label_rejected(call):
+    # a plain tuple would leave empty transitions in the lab's memo under
+    # its state's key, and a forged certificate would then replay
+    u, v = TermState(I), TermState(App(I, I))
+    forged = Witness(TAU, (HnfState(I),), (ZERO, ZERO), (ONE, ONE), {})
+    lab = Lab(fuel=4, pool=(I,))
+    with pytest.raises(TypeError, match="not a tuple"):
+        call(lab, u, v, forged)
+    assert not verify_witness(u, v, forged, lab, bisim=True)
+
+
+@pytest.mark.parametrize("field", ("block", "image", "sub"))
+def test_plain_tuple_in_a_witness_rejected(field):
+    # a plain (kind, term) tuple equals its state and hashes like it, so
+    # only its type tells it apart
+    lab = Lab(fuel=6, pool=(I,))
+    u, v = TermState(M48), TermState(N48)
+    w = refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
+    assert w.sub and verify_witness(u, v, w, lab, bisim=False)
+    fields = {"block": w.block, "image": w.image, "sub": w.sub}
+    if field == "sub":
+        fields["sub"] = {(tuple(s1), s2): x for (s1, s2), x in w.sub.items()}
+    else:
+        fields[field] = tuple(tuple(s) for s in fields[field])
+    assert fields[field] == getattr(w, field)
+    bad = Witness(w.label, fields["block"], w.left, w.right, fields["sub"], image=fields["image"])
+    assert not verify_witness(u, v, bad, lab, bisim=False)
+
+
 def test_forged_sim_witness_dropping_the_block_itself_rejected():
     forged = Witness(TAU, (HnfState(I),), (ONE, ONE), (ZERO, ZERO), {}, image=())
     assert not verify_witness(TermState(I), TermState(I), forged, Lab(fuel=6), bisim=False)

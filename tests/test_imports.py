@@ -2,7 +2,8 @@
 module-level private function or class goes unreferenced, and no public
 definition is there only for callers outside the package: every public
 function, class, method or property that `plam.__all__` does not export
-is named by the package itself.
+is named by the package itself. `plam.__all__` lists the re-exported
+names and no submodule.
 
 A plain `ast` walk stands in for a linter, so the check needs nothing
 beyond the standard library. `__init__.py` is exempt from the import
@@ -10,6 +11,7 @@ check: its imports are the public re-exports.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -149,3 +151,9 @@ def test_public_checker_flags_test_only_names():
 def test_no_test_only_public_api():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced_public_defs(sources, set(plam.__all__)) == []
+
+
+def test_all_lists_the_reexports_and_no_module():
+    bound = {name for name in dir(plam) if not name.startswith("_")}
+    modules = {name for name in bound if isinstance(getattr(plam, name), types.ModuleType)}
+    assert sorted(plam.__all__) == sorted(bound - modules)

@@ -205,6 +205,18 @@ def test_cap_is_checked_before_the_fixed_point_stop():
         converge(OMEGA, 5, cap=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    (lambda t: step_n(t, 0, cap=0), lambda t: converge(t, 8, cap=0), lambda t: trace_tree(t, 0, cap=0)),
+    ids=("step_n", "converge", "trace_tree"),
+)
+def test_cap_below_the_starting_state_rejected(call):
+    with pytest.raises(ResourceCapExceeded):
+        call(parse("I"))
+    with pytest.raises(ResourceCapExceeded):
+        call(OMEGA)
+
+
 def test_converge_certifies_half():
     res = converge(Choice(OMEGA, parse("I")), 8)
     assert res.distr.mass == HALF and res.exact
