@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -301,8 +302,11 @@ def cmd_appcmp(args) -> Answer:
 
 
 def _parse_subset(key: str) -> frozenset:
-    inner = key.strip().lstrip("{").rstrip("}")
-    return frozenset(int(p) for p in inner.split(",") if p.strip())
+    """A subset key of a problem file: `{k,…}` with ASCII decimal items,
+    spaces allowed around every item and brace."""
+    if not re.fullmatch(r"\s*\{\s*(\d+\s*(,\s*\d+\s*)*)?\}\s*", key, re.ASCII):
+        raise UsageError(f"problem file: subset key {json.dumps(key)} is not of the form {{k,...}}")
+    return frozenset(int(p) for p in key.strip()[1:-1].split(",") if p.strip())
 
 
 def _json_object(pairs: list) -> dict:

@@ -9,6 +9,10 @@ these bounds", never an equivalence certificate. All mass comparisons are
 interval comparisons: evaluation yields lower bounds, and the upper end
 of an interval closes only when the residual was certified divergent.
 
+Applicative comparison runs the head chain of each side once over the
+trie of its argument sequences (`smallstep._converge_seqs`), not once per
+sequence, and gives each sequence what `converge` gives its application.
+
 A simulation block is chosen by one max flow: the lifting check poses an
 assignment problem, a demand per left state and a supply per set of left
 states that right states may still lie above, to `plam.assign`, and takes
@@ -23,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .assign import AssignmentProblem, Infeasible, assignment_solve
 from .prob import Approx, Dyadic, Distr, ONE
-from .smallstep import converge
-from .syntax import App, Lam, Term, _check_count, free_vars, is_closed, lam_close, pretty, substitute
+from .smallstep import _converge_seqs, converge
+from .syntax import Lam, Term, _check_count, free_vars, is_closed, lam_close, pretty, substitute
 from .trees import Different, prob_tree, tree_eq
 
 DEFAULT_POOL_NAMES = ("I", "Omega", "Delta", "T", "F")
@@ -520,18 +524,15 @@ def applicative_compare(
     _check_count(fuel, "fuel")
     m, n = _closed_pair(m, n)
     steps = _step_budget(fuel)
+    seqs = [tuple(seq) for seq in arg_seqs]
+    lefts, rights = _converge_seqs(m, seqs, steps), _converge_seqs(n, seqs, steps)
     reports = []
-    for seq in arg_seqs:
-        lt, rt = m, n
-        for a in seq:
-            lt, rt = App(lt, a), App(rt, a)
-        left = converge(lt, steps)
-        right = converge(rt, steps)
+    for seq, left, right in zip(seqs, lefts, rights):
         if left.mass > right.upper_mass:
             verdict = "LeftExceeds"
         elif right.mass > left.upper_mass:
             verdict = "RightExceeds"
         else:
             verdict = "Inconclusive"
-        reports.append(SeqReport(tuple(seq), left, right, verdict))
+        reports.append(SeqReport(seq, left, right, verdict))
     return reports

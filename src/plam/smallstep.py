@@ -33,11 +33,17 @@ grows by one on each step where a live state's head is a choice, so a
 chain of β-steps keeps its numerators as they are. An absorbed hnf keeps
 its numerator with the exponent at which it last grew. The `Dyadic`s are
 built once, into the returned `Distr`.
+
+`_converge_seqs` runs the head chains of m a⃗ for many argument sequences
+a⃗ at once, over the trie of their prefixes: head reduction leaves the
+arguments untouched until the head is an abstraction that needs the next
+one, so sequences that share a prefix share those steps. `converge` and
+`_converge_seqs` certify a residual by one closure, `_diverges`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Collection, Dict, List, Sequence, Tuple, Union
 
 from .prob import Approx, Dyadic, Distr, HALF, ONE
 from .syntax import (
@@ -269,6 +275,34 @@ def _core(s: HeadForm) -> HeadForm:
     return core
 
 
+def _diverges(live: Collection[HeadForm], spine: bool, cap: int, beta: dict, foci: dict) -> bool:
+    """Whether the successor closure of the live states stays finite,
+    within `cap` states, and never touches an hnf: then no residual mass
+    can ever converge."""
+    if not live:
+        return True
+    # the closure is over cores, states with their leading binders
+    # stripped: both strategies commute with λ, and λx.W is an hnf iff W
+    # is, so a residual that only grows a λ-prefix closes too. Cores may
+    # hold dangling indices, which both strategies handle.
+    # Breadth first, over the list it extends: a depth-first search could
+    # dive into an infinite branch before it meets a nearby hnf.
+    work = list(dict.fromkeys(_core(s) for s in live))
+    seen = set(work)
+    for s in work:
+        out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
+        for s2 in out:
+            if type(s2) is not HeadForm:
+                return False
+            s2 = _core(s2)
+            if s2 not in seen:
+                seen.add(s2)
+                if len(seen) > cap:
+                    return False
+                work.append(s2)
+    return True
+
+
 def converge(
     t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP
 ) -> Approx:
@@ -287,28 +321,214 @@ def converge(
     beta: dict = {}
     foci: dict = {}
     lower, live, fixed = _run(t, steps, spine, cap, beta, foci)
-    if fixed:
-        return Approx(lower, True)
-    # the closure is over cores, states with their leading binders
-    # stripped: both strategies commute with λ, and λx.W is an hnf iff W
-    # is, so a residual that only grows a λ-prefix closes too. Cores may
-    # hold dangling indices, which both strategies handle.
-    # Breadth first, over the list it extends: a depth-first search could
-    # dive into an infinite branch before it meets a nearby hnf.
-    work = list(dict.fromkeys(_core(s) for s in live))
-    seen = set(work)
-    for s in work:
-        out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
-        for s2 in out:
-            if type(s2) is not HeadForm:
-                return Approx(lower, False)
-            s2 = _core(s2)
-            if s2 not in seen:
-                seen.add(s2)
-                if len(seen) > cap:
-                    return Approx(lower, False)
-                work.append(s2)
-    return Approx(lower, True)
+    return Approx(lower, fixed or _diverges(live, spine, cap, beta, foci))
+
+
+def _converge_seqs(
+    m: Term, seqs: Sequence[Sequence[Term]], steps: int, cap: int = DEFAULT_LEAF_CAP
+) -> List[Approx]:
+    """`converge(m a⃗, steps, cap=cap)` under head reduction for each
+    sequence a⃗ of `seqs`, with the steps that sequences sharing a prefix
+    share taken once.
+
+    Head reduction of m a⃗ leaves a⃗ untouched until the head is an
+    abstraction with no argument left to take, the argument stack of
+    Krivine's machine. So the sequences run over the trie of their
+    argument prefixes, one node per prefix (keyed by alpha-equivalence),
+    and a node where a sequence ends while others go on gets a terminal
+    twin, followed by the ending sequences only. An entry (state, node)
+    stands for every sequence below the node, the arguments still pending
+    appended to the state's; its state has no leading binder unless its
+    node is terminal. A step that yields a leading binder or an hnf at a
+    node with children pops it: the twin keeps it, and each child a takes
+    the β-redex (λ-term) a in that same step, so every sequence sees the
+    steps of its own chain.
+
+    Weights are numerators over one shared 2^e, as in `_run`. An entry
+    whose one successor is itself (Ω) is parked: it is not stepped again,
+    and its weight, which no result reads, is not kept. The run stops at
+    the step budget, when nothing unparked is live, or at a step that
+    leaves every entry and weight as it was; each sequence's chain is
+    then at a fixed point too, or would repeat its last step. The cap
+    bounds each sequence's distinct states plus absorbed hnfs, as in
+    `converge`; the count is made per sequence only when the entries and
+    absorbed hnfs of all sequences together exceed it, since entries at
+    different nodes can stand for one state of a sequence.
+    """
+    _check_count(steps, "steps")
+    _check_count(cap, "cap")
+    if not seqs:
+        return []
+    # the trie: each node's children by argument and its depth, each
+    # sequence's path of nodes from the root, and for each node where a
+    # sequence ends its terminal node (a twin when the node has children),
+    # with the sequence and the path to it
+    kids: List[Dict[Term, int]] = [{}]
+    depth = [0]
+    walks = []
+    for seq in seqs:
+        path = [0]
+        for a in seq:
+            node = path[-1]
+            child = kids[node].get(a)
+            if child is None:
+                child = kids[node][a] = len(kids)
+                kids.append({})
+                depth.append(depth[node] + 1)
+            path.append(child)
+        walks.append(path)
+    terminal: Dict[int, int] = {}
+    paths: Dict[int, Tuple[Tuple[Term, ...], List[int]]] = {}
+    for seq, path in zip(seqs, walks):
+        end = path[-1]
+        if end not in terminal:
+            t = terminal[end] = end
+            if kids[end]:
+                t = terminal[end] = len(kids)
+                kids.append({})
+                depth.append(depth[end])
+                path = path + [t]
+            paths[t] = (tuple(seq), path)
+
+    beta: dict = {}
+    absorbed: Dict[int, Dict[Term, Tuple[int, int]]] = {t: {} for t in paths}
+    parked: set = set()
+    e = hnf_count = 0
+
+    def place(s: State, node: int, w: int, nxt: dict) -> bool:
+        """Enter `s`, reached at `node` with numerator `w`; whether it is a
+        live state with a choice head."""
+        nonlocal hnf_count
+        split = False
+        todo = [(s, node)]
+        while todo:
+            s, node = todo.pop()
+            below = kids[node]
+            is_live = type(s) is HeadForm
+            if below and not (is_live and s.binders == 0):
+                if is_live or type(s) is Lam:
+                    # pop: each child takes the abstraction as a β-redex
+                    lam = _as_term(s)
+                    for a, child in below.items():
+                        key = (HeadForm(0, lam, (a,)), child)
+                        if key not in parked:
+                            v = nxt.get(key)
+                            nxt[key] = w if v is None else v + w
+                else:
+                    # an hnf with no leading binder stays one under arguments
+                    todo.extend((App(s, a), child) for a, child in below.items())
+                node = terminal.get(node)
+                if node is None:
+                    continue
+            if is_live:
+                key = (s, node)
+                if key not in parked:
+                    v = nxt.get(key)
+                    if v is None:
+                        nxt[key] = w
+                        split = split or type(s.head) is Choice
+                    else:
+                        nxt[key] = v + w
+            else:
+                hnfs = absorbed[node]
+                prev = hnfs.get(s)
+                if prev is None:
+                    hnfs[s] = (w, e)
+                    hnf_count += 1
+                else:
+                    hnfs[s] = ((prev[0] << (e - prev[1])) + w, e)
+        return split
+
+    def residuals(live: dict):
+        """Each terminal node with the distinct states of its sequence's
+        chain, and whether one of them is unparked."""
+        at: Dict[int, list] = {}
+        for entries, unparked in ((live, True), (parked, False)):
+            for s, node in entries:
+                at.setdefault(node, []).append((s, unparked))
+        for t, (seq, path) in paths.items():
+            # a dict, so that the closure's order, which decides where it
+            # stops, does not depend on hashing
+            states = {}
+            open_ = False
+            for node in path:
+                rest = seq[depth[node]:]
+                for s, unparked in at.get(node, ()):
+                    # a state at a node with children has no leading binder
+                    states[HeadForm(0, s.head, s.args + rest) if rest else s] = None
+                    open_ = open_ or unparked
+            yield t, states, open_
+
+    def check_cap(live: dict) -> None:
+        if len(live) + len(parked) + hnf_count <= cap:
+            return
+        for t, states, _ in residuals(live):
+            if len(states) + len(absorbed[t]) > cap:
+                raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
+
+    live: Dict[Tuple[HeadForm, int], int] = {}
+    split = place(_decompose(m, False), 0, 1, live)
+    check_cap(live)
+    k = 0
+    fixed = False
+    while live and k < steps:
+        k += 1
+        rise = 1 if split else 0
+        e += rise
+        split = False
+        table: Dict[HeadForm, Tuple[State, ...]] = {}
+        loops = []
+        nxt: Dict[Tuple[HeadForm, int], int] = {}
+        for entry, w in live.items():
+            s, node = entry
+            out = table.get(s)
+            if out is None:
+                out = table[s] = _successor(s, False, beta)
+            if len(out) == 1:
+                w <<= rise
+                if out[0] == s:
+                    loops.append(entry)
+            for s2 in out:
+                if type(s2) is HeadForm and (not s2.binders or not kids[node]):
+                    # the common case, a state that stays at its node
+                    key = (s2, node)
+                    v = nxt.get(key)
+                    if v is not None:
+                        nxt[key] = v + w
+                    elif key not in parked:
+                        nxt[key] = w
+                        split = split or type(s2.head) is Choice
+                else:
+                    split = place(s2, node, w, nxt) or split
+        check_cap(nxt)
+        if len(nxt) == len(live):
+            for entry, w in live.items():
+                if nxt.get(entry) != w << rise:
+                    break
+            else:
+                fixed = True
+        for entry in loops:
+            parked.add(entry)
+            del nxt[entry]
+        live = nxt
+        if fixed:
+            break
+
+    # every sequence's residual is closed once the run stopped short of
+    # the budget: at a fixed point, or with only parked states left, which
+    # step onto themselves
+    if fixed or not live:
+        exact = dict.fromkeys(paths, True)
+    else:
+        exact = {
+            t: not open_ or _diverges(states, False, cap, beta, {})
+            for t, states, open_ in residuals(live)
+        }
+    results = {
+        t: Approx(Distr((h, Dyadic(n, x)) for h, (n, x) in hnfs.items()), exact[t])
+        for t, hnfs in absorbed.items()
+    }
+    return [results[terminal[path[-1]]] for path in walks]
 
 
 def trace_tree(

@@ -226,6 +226,8 @@ def lam_close(t: Term, names: frozenset | None = None) -> Term:
     if t.loose:
         raise ValueError("dangling binder index in λ-closing")
     order = sorted(free_vars(t) if names is None else names)
+    if not order:
+        return t
     # the distance of each name's binder from the top of the term
     rank = {name: len(order) - 1 - i for i, name in enumerate(order)}
 

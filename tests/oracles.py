@@ -19,7 +19,9 @@ from plam.syntax import (
     Term,
     Var,
     classify,
+    free_vars,
     is_hnf,
+    lam_close,
     size,
     substitute,
 )
@@ -313,3 +315,36 @@ def converge_every_step(
                     return Approx(lower, False)
                 work.append(s2)
     return Approx(lower, True)
+
+
+def converge_each(
+    m: Term, arg_seqs, steps: int, cap: int = smallstep.DEFAULT_LEAF_CAP
+) -> List[Approx]:
+    """Reference for `smallstep._converge_seqs`: one `converge` per
+    sequence, on the application spine built in full."""
+    out = []
+    for seq in arg_seqs:
+        t = m
+        for a in seq:
+            t = App(t, a)
+        out.append(smallstep.converge(t, steps, cap=cap))
+    return out
+
+
+def applicative_reports(m: Term, n: Term, arg_seqs, fuel: int) -> List[Tuple]:
+    """Reference for `equiv.applicative_compare`, one `converge` per side
+    and sequence, as (args, left, right, verdict) tuples."""
+    names = free_vars(m) | free_vars(n)
+    m, n = lam_close(m, names), lam_close(n, names)
+    steps = max(6 * fuel, 8)
+    lefts, rights = converge_each(m, arg_seqs, steps), converge_each(n, arg_seqs, steps)
+    reports = []
+    for seq, left, right in zip(arg_seqs, lefts, rights):
+        if left.mass > right.upper_mass:
+            verdict = "LeftExceeds"
+        elif right.mass > left.upper_mass:
+            verdict = "RightExceeds"
+        else:
+            verdict = "Inconclusive"
+        reports.append((tuple(seq), left, right, verdict))
+    return reports

@@ -231,6 +231,22 @@ def test_assign_subset_given_twice_exits_one(tmp_path, capsys, text, named):
     assert err == f"error: problem file: {named} given twice\n"
 
 
+@pytest.mark.parametrize(
+    "key",
+    ("1", "{1,,}", "{١}", "{1,}", "{,1}", "1}", "{1", "{1 2}", "{+1}", "{1}{2}"),
+    ids=("no-braces", "empty-items", "arabic-indic-digit", "trailing-comma", "leading-comma",
+         "no-open-brace", "no-close-brace", "no-comma", "sign", "two-sets"),
+)
+def test_assign_malformed_subset_key_exits_one(tmp_path, capsys, key):
+    # each of these used to be read as the subset {1}, making the problem feasible
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"p": ["1/2"], "r": {key: "1/2"}}), encoding="utf-8")
+    code, out, err = run(capsys, "assign", "--problem", str(problem))
+    assert (code, out) == (1, "")
+    named = json.dumps(key)
+    assert err == f"error: problem file: subset key {named} is not of the form {{k,...}}\n"
+
+
 def test_assign_missing_file(capsys):
     code, _, err = run(capsys, "assign", "--problem", "no-such-file.json")
     assert code == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from plam import smallstep
 from plam.bigstep import eval_fuel
 from plam.equiv import (
     DEFAULT_POOL_NAMES,
@@ -518,6 +519,41 @@ def test_applicative_compare_left_exceeds():
     reports = applicative_compare(I, OMEGA, [()], fuel=6)
     assert reports[0].verdict == "LeftExceeds"
     assert reports[0].right.exact
+
+
+def _default_pool_seqs(maxlen):
+    """Every sequence of length 0..maxlen over the default pool, as `plam
+    appcmp --maxlen` builds them."""
+    pool = [parse(name) for name in DEFAULT_POOL_NAMES]
+    seqs, frontier = [()], [()]
+    for _ in range(maxlen):
+        frontier = [s + (p,) for s in frontier for p in pool]
+        seqs.extend(frontier)
+    return seqs
+
+
+@pytest.mark.parametrize(
+    "m, n, maxlen, most",
+    (
+        # the README pair: 2 297 calls with one chain per sequence and side
+        (r"\x y z.z (x (+) y)", r"\x y z.(z x) (+) (z y)", 3, 1600),
+        # 5 540 calls with one chain per sequence and side
+        ("I", "I", 4, 1000),
+    ),
+    ids=("readme-pair", "identity"),
+)
+def test_applicative_compare_shares_steps_across_sequences(monkeypatch, m, n, maxlen, most):
+    calls = [0]
+    successor = smallstep._successor
+
+    def counting(*args):
+        calls[0] += 1
+        return successor(*args)
+
+    monkeypatch.setattr(smallstep, "_successor", counting)
+    reports = applicative_compare(parse(m), parse(n), _default_pool_seqs(maxlen))
+    assert len(reports) == sum(5**k for k in range(maxlen + 1))
+    assert calls[0] <= most
 
 
 def _fixture_certificate(bisim):

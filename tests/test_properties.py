@@ -14,10 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from plam import syntax
 from plam.bigstep import eval_fuel
-from plam.equiv import Lab, TermState, _sim_block, refute_bisim, refute_sim, verify_witness
+from plam.equiv import (
+    DEFAULT_POOL_NAMES,
+    Lab,
+    TermState,
+    _sim_block,
+    applicative_compare,
+    refute_bisim,
+    refute_sim,
+    verify_witness,
+)
 from plam.gen import random_term
 from plam.prob import Approx, Distr, Dyadic, ONE, ZERO
-from plam.smallstep import converge, head_step, spine_step, step_n
+from plam.smallstep import _converge_seqs, converge, head_step, spine_step, step_n
 from plam.syntax import (
     I,
     OMEGA,
@@ -664,3 +673,42 @@ def test_sim_block_agrees_with_enumeration(lifting):
         block, image = found
         assert image == {s2 for s1 in block for s2 in above[s1]}
         assert du.lower(block) > dv.upper(image)
+
+
+DEFAULT_POOL = tuple(parse(name) for name in DEFAULT_POOL_NAMES)
+# pool terms: the default pool, random closed and open terms, and a free y
+pool_terms = st.lists(
+    st.one_of(closed_terms, open_terms, st.just(Free("y"))), max_size=3
+).map(lambda extra: DEFAULT_POOL + tuple(extra))
+
+
+def arg_seqs(pool):
+    """Up to 8 sequences of length 0-3 over `pool`, duplicates and
+    missing prefixes included."""
+    return st.lists(st.lists(st.sampled_from(pool), max_size=3).map(tuple), max_size=8)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(maybe_omega_terms, maybe_omega_terms, pool_terms.flatmap(arg_seqs), st.integers(0, 2))
+def test_applicative_compare_matches_the_per_sequence_oracle(m, n, seqs, fuel):
+    reports = applicative_compare(m, n, seqs, fuel=fuel)
+    expected = oracles.applicative_reports(m, n, seqs, fuel)
+    assert len(reports) == len(expected)
+    for r, (args, left, right, verdict) in zip(reports, expected):
+        assert r.args == args and r.verdict == verdict
+        assert (r.left.distr, r.left.exact) == (left.distr, left.exact)
+        assert (r.right.distr, r.right.exact) == (right.distr, right.exact)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(
+    st.one_of(maybe_omega_terms, st.sampled_from(LOOPING_TERMS)),
+    pool_terms.flatmap(arg_seqs),
+    st.integers(0, 16),
+    st.integers(1, 64),
+)
+def test_converge_seqs_hits_the_cap_exactly_when_a_sequence_does(m, seqs, steps, cap):
+    def outcome(run):
+        return _or_cap(lambda: [(r.distr, r.exact) for r in run(m, seqs, steps, cap)])
+
+    assert outcome(_converge_seqs) == outcome(oracles.converge_each)

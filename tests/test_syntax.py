@@ -150,6 +150,14 @@ def test_lam_close_order():
     assert is_closed(closed)
 
 
+@pytest.mark.parametrize("text", ("Omega", r"\x.x (a (+) b)", "I"))
+def test_lam_close_binding_nothing_returns_the_term(text):
+    t = parse(text)
+    assert lam_close(t, frozenset()) is t
+    if is_closed(t):
+        assert lam_close(t) is t
+
+
 def test_lam_close_rejects_dangling_index():
     # binding y would capture the dangling index: \x.x x
     with pytest.raises(ValueError, match="dangling binder index"):
