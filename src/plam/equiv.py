@@ -10,8 +10,10 @@ interval comparisons: evaluation yields lower bounds, and the upper end
 of an interval closes only when the residual was certified divergent.
 
 Applicative comparison runs the head chain of each side once over the
-trie of its argument sequences (`smallstep._converge_seqs`), not once per
-sequence, and gives each sequence what `converge` gives its application.
+trie of its argument sequences (`smallstep._converge_seqs`, on the one
+chain loop that also runs `converge`), not once per sequence, and gives
+each sequence what `converge` gives its application. An argument that is
+no `Term`, or has a dangling binder index, is rejected as the trie is built.
 
 A simulation block is chosen by one max flow: the lifting check poses an
 assignment problem, a demand per left state and a supply per set of left
@@ -519,7 +521,9 @@ def applicative_compare(
     """Compare total convergence mass under applicative contexts.
 
     LeftExceeds certifies that m's mass beats anything n could still
-    reach (refuting m below n); symmetrically for RightExceeds.
+    reach (refuting m below n); symmetrically for RightExceeds. Raises
+    `TypeError` for an argument that is no `Term` and `ValueError` for one
+    with a dangling binder index.
     """
     _check_count(fuel, "fuel")
     m, n = _closed_pair(m, n)

@@ -12,33 +12,22 @@ plain term. Equal states decompose equal terms, so the exact n-step
 tables merge alpha-equivalent states. `head_step`, `spine_step` and
 `trace_tree` are term views of the one successor function.
 
+One loop, `_chain`, runs the chains of m a⃗ for argument sequences a⃗
+at once, over the trie of their prefixes: for `_converge_seqs`, and with
+the one empty sequence for `step_n` and `converge`. Its weights are
+integers over one shared 2^e, where e rises only on a step with a choice
+head, and a state whose one successor is itself is parked, never stepped
+again. `converge` and `_converge_seqs` certify by one closure, `_diverges`.
+
 Each public call owns one contraction table, from a β-redex (λ.b, a) to
 b[a], keyed by alpha-equivalence and dropped when the call returns, so a
 redex that the chain meets again (every round of a recursion through
-`Theta`) is substituted once; `converge` shares its table between the
-chain and the certification closure, which re-steps the chain's states.
-
-`step_n`, `converge` and `trace_tree` also own a focus table, dropped with
-the call. A framed state steps the same whatever its frames are, as long
-as its focus λⁿ.h M⃗ is the same: the frames are read only when the focus
-becomes an hnf and pops into the innermost one. So the table maps a
-focus, keyed by alpha-equivalence, to its successors in a placeholder
-frame `_TOP`, and a framed state takes them with `_TOP` replaced by its
-own frames; under the spine strategy a body below many enclosing redexes
-is stepped once per call, not once per redex. Frameless states, every
-head-strategy state among them, are stepped directly.
-
-The chain's weights are integers over one shared power of two 2^e: e
-grows by one on each step where a live state's head is a choice, so a
-chain of β-steps keeps its numerators as they are. An absorbed hnf keeps
-its numerator with the exponent at which it last grew. The `Dyadic`s are
-built once, into the returned `Distr`.
-
-`_converge_seqs` runs the head chains of m a⃗ for many argument sequences
-a⃗ at once, over the trie of their prefixes: head reduction leaves the
-arguments untouched until the head is an abstraction that needs the next
-one, so sequences that share a prefix share those steps. `converge` and
-`_converge_seqs` certify a residual by one closure, `_diverges`.
+`Theta`) is substituted once; the certification closure shares it.
+`step_n`, `converge` and `trace_tree` also own a focus table: a framed
+state steps the same whatever its frames are, as long as its focus
+λⁿ.h M⃗ is the same, so the table maps a focus to its successors in a
+placeholder frame `_TOP`, and a framed state takes them with `_TOP`
+replaced by its own frames. Frameless states are stepped directly.
 """
 
 from __future__ import annotations
@@ -99,6 +88,8 @@ def _refocus(n: int, t: Term, args: Tuple[Term, ...], up: HeadForm | None, spine
 
 
 def _decompose(t: Term, spine: bool) -> State:
+    if not isinstance(t, Term):
+        raise TypeError(f"term must be a Term, not {type(t).__name__}")
     return t if is_hnf(t) else _refocus(0, t, (), None, spine)
 
 
@@ -189,77 +180,228 @@ def spine_step(t: Term) -> StepOutcome:
     return _step_view(t, True)
 
 
-def _run(
-    t: Term, steps: int, spine: bool, cap: int, beta: dict, foci: dict
-) -> Tuple[Distr, Dict[HeadForm, int], bool]:
-    """Iterate the absorbing chain, merging equal states.
+def _trie(seqs: Sequence[Sequence[Term]]) -> Tuple[List[dict], list, List[int]]:
+    """The trie of the argument prefixes of `seqs`, keyed by
+    alpha-equivalence: each node's children by argument, its parent with
+    the argument that leads to it, and each sequence's terminal node. A
+    node where a sequence ends while others go on gets a terminal twin, a
+    child under the key None. Each argument is checked as it enters."""
+    kids: List[dict] = [{}]
+    up: list = [(0, None)]
+    ends = []
+    for seq in seqs:
+        node = 0
+        for a in seq:
+            child = kids[node].get(a)
+            if child is None:
+                if not isinstance(a, Term):
+                    raise TypeError(f"argument must be a Term, not {type(a).__name__}")
+                if a.loose:
+                    raise ValueError("dangling binder index in an argument")
+                child = kids[node][a] = len(kids)
+                kids.append({})
+                up.append((node, a))
+            node = child
+        ends.append(node)
+    for i, node in enumerate(ends):
+        if kids[node]:
+            ends[i] = kids[node].setdefault(None, len(kids))
+            if ends[i] == len(kids):
+                kids.append({})
+                up.append((node, None))
+    return kids, up, ends
 
-    Returns the absorbed hnf mass, the live states with their numerators,
-    and whether the chain stopped at a fixed point. A live weight is its
-    numerator over 2^e, the exponent e shared: a step where some live head
-    is a choice raises e by one, doubles the numerator of each state with
-    one successor and keeps it on each branch of a split; any other step
-    keeps every numerator. Whether the next step raises e is read off each
-    state as it enters `nxt`. An absorbed hnf keeps its numerator with the
-    exponent at which it last grew, so the `Dyadic`s are built once, at the
-    end.
-    A step that leaves every live weight as it was absorbed nothing, since
-    every weight is positive and outcomes sum to one, so every later step
-    repeats it: the loop stops there with the result the remaining steps
-    would give.
+
+# the trie of the one empty sequence, which `step_n` and `converge` run
+_NO_ARGS = _trie(((),))
+
+
+def _enter(s: State, node: int, w: int, e: int, kids, nxt, parked, absorbed):
+    """Enter `s`, reached at `node` with the weight w/2^e, into the live
+    entries `nxt` or the absorbed hnfs; whether it added a live state with
+    a choice head, and how many live states and hnfs it added. A leading
+    binder or an hnf at a node with children pops: each child a takes the
+    β-redex (λ-term) a and the twin the state itself."""
+    split, n_live, n_hnfs = False, 0, 0
+    todo = []
+    while True:
+        below = kids[node]
+        is_live = type(s) is HeadForm
+        if below and not (is_live and s.binders == 0):
+            lam = _as_term(s) if is_live or type(s) is Lam else None
+            for a, child in below.items():
+                if a is None:
+                    todo.append((s, child))
+                else:
+                    # an hnf with no leading binder stays one under arguments
+                    todo.append((App(s, a) if lam is None else HeadForm(0, lam, (a,)), child))
+        elif is_live:
+            here = nxt.setdefault(node, {})
+            v = here.get(s)
+            if v is not None:
+                here[s] = v + w
+            elif s not in parked[node]:
+                here[s] = w
+                n_live += 1
+                split = split or type(s.head) is Choice
+        else:
+            hnfs = absorbed[node]
+            prev = hnfs.get(s)
+            if prev is None:
+                hnfs[s] = (w, e)
+                n_hnfs += 1
+            else:
+                hnfs[s] = ((prev[0] << (e - prev[1])) + w, e)
+        if not todo:
+            return split, n_live, n_hnfs
+        s, node = todo.pop()
+
+
+def _residuals(trie, live: dict, parked: list):
+    """Each terminal node with the distinct states of its sequence's chain,
+    pending arguments appended, and whether one is live, not parked."""
+    _, up, ends = trie
+    for t in dict.fromkeys(ends):
+        states: dict = {}
+        open_ = False
+        node, rest = t, ()
+        while True:
+            here = live.get(node)
+            open_ = open_ or bool(here)
+            for s in (*(here or ()), *parked[node]):
+                states[HeadForm(0, s.head, s.args + rest) if rest else s] = None
+            if not node:
+                break
+            node, a = up[node]
+            if a is not None:
+                rest = (a, *rest)
+        yield t, states, open_
+
+
+def _check_cap(trie, live: dict, parked: list, absorbed: dict, cap: int) -> None:
+    """Raise if some sequence's distinct states and absorbed hnfs exceed `cap`."""
+    for t, states, _ in _residuals(trie, live, parked):
+        if len(states) + len(absorbed[t]) > cap:
+            raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
+
+
+def _repeats(live: dict, nxt: dict, rise: int) -> bool:
+    """Whether a step from `live` to as many entries `nxt` kept every
+    weight: it absorbed nothing then, and every later step repeats it."""
+    for node, states in live.items():
+        after = nxt[node]
+        for s, w in states.items():
+            if after.get(s) != w << rise:
+                return False
+    return True
+
+
+def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: dict):
+    """Run the absorbing chains of m a⃗ for the sequences a⃗ of `trie`
+    together, merging equal states. Returns the absorbed hnfs of each
+    terminal node, with numerator and exponent, the live entries by node,
+    empty once nothing more can be absorbed, and the parked ones.
+
+    Head reduction leaves a⃗ untouched until the head is an abstraction
+    with no argument left to take (Krivine's argument stack), so a state at
+    a node, which then has no leading binder, stands for every sequence
+    below it. A step where some live head is a choice raises the shared
+    exponent e by one, doubles the numerator of each state with one
+    successor and keeps it on each branch; any other step keeps every
+    numerator. The run stops at the step budget, when nothing is live, or
+    at a fixed point (`_repeats`). The cap bounds each sequence's distinct
+    states, parked ones included, plus its absorbed hnfs, counted per
+    sequence only when all entries and hnfs together exceed it. The spine
+    strategy takes the one empty sequence only.
     """
     _check_count(steps, "steps")
     _check_count(cap, "cap")
-    absorbed: Dict[Term, Tuple[int, int]] = {}
-    live: Dict[HeadForm, int] = {}
-    s = _decompose(t, spine)
-    if type(s) is HeadForm:
-        live[s] = 1
-        split = type(s.head) is Choice
-    else:
-        absorbed[s] = (1, 0)
-    if len(live) + len(absorbed) > cap:
-        raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
-    e = k = 0
-    fixed = False
-    while live and k < steps:
+    kids = trie[0]
+    if spine and len(kids) > 1:
+        raise ValueError("the spine strategy takes no arguments")
+    absorbed: Dict[int, Dict[Term, Tuple[int, int]]] = {}
+    for t in trie[2]:
+        absorbed[t] = {}
+    parked: List[Collection[HeadForm]] = [()] * len(kids)
+    live: Dict[int, Dict[HeadForm, int]] = {}
+    split, n_live, n_hnfs = _enter(_decompose(m, spine), 0, 1, 0, kids, live, parked, absorbed)
+    if n_live + n_hnfs > cap:
+        _check_cap(trie, live, parked, absorbed, cap)
+    e = k = n_parked = 0
+    # equal states at different nodes step once
+    table = {} if len(kids) > 1 else None
+    while n_live and k < steps:
         k += 1
         rise = 1 if split else 0
         e += rise
         split = False
-        nxt: Dict[HeadForm, int] = {}
-        for s, w in live.items():
-            out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
-            if len(out) == 1:
-                w <<= rise
-            for s2 in out:
-                if type(s2) is HeadForm:
-                    v = nxt.get(s2)
-                    if v is None:
-                        nxt[s2] = w
-                        split = split or type(s2.head) is Choice
-                    else:
-                        nxt[s2] = v + w
+        nxt: Dict[int, Dict[HeadForm, int]] = {}
+        n_nxt = 0
+        for node, states in live.items():
+            below = kids[node]
+            holds = parked[node]
+            here = nxt.setdefault(node, {})
+            for s, w in states.items():
+                if s.up is not None:
+                    out = _framed(s, spine, beta, foci)
+                elif table is None:
+                    out = _successor(s, spine, beta)
                 else:
-                    prev = absorbed.get(s2)
-                    absorbed[s2] = (w, e) if prev is None else ((prev[0] << (e - prev[1])) + w, e)
-        if len(nxt) + len(absorbed) > cap:
-            raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
-        if len(nxt) == len(live):
-            for s, w in live.items():
-                if nxt.get(s) != w << rise:
-                    break
-            else:
-                fixed = True
+                    out = table.get(s)
+                    if out is None:
+                        out = table[s] = _successor(s, spine, beta)
+                if len(out) == 1:
+                    if out[0]._hash == s._hash and out[0] == s:
+                        # parked: mass that reaches it is not kept
+                        if not holds:
+                            parked[node] = holds = set()
+                        holds.add(s)
+                        n_parked += 1
+                        if here.pop(s, None) is not None:
+                            n_nxt -= 1
+                        continue
+                    w <<= rise
+                for s2 in out:
+                    if type(s2) is HeadForm:
+                        if not below or not s2.binders:
+                            # the common case, a state that stays at its node
+                            v = here.get(s2)
+                            if v is not None:
+                                here[s2] = v + w
+                            elif s2 not in holds:
+                                here[s2] = w
+                                n_nxt += 1
+                                split = split or type(s2.head) is Choice
+                            continue
+                    elif not below:
+                        hnfs = absorbed[node]
+                        prev = hnfs.get(s2)
+                        if prev is None:
+                            hnfs[s2] = (w, e)
+                            n_hnfs += 1
+                        else:
+                            hnfs[s2] = ((prev[0] << (e - prev[1])) + w, e)
+                        continue
+                    more, dl, dh = _enter(s2, node, w, e, kids, nxt, parked, absorbed)
+                    split = split or more
+                    n_nxt += dl
+                    n_hnfs += dh
+        if n_nxt + n_parked + n_hnfs > cap:
+            _check_cap(trie, nxt, parked, absorbed, cap)
+        if n_nxt == n_live and _repeats(live, nxt, rise):
+            return absorbed, {}, parked
+        n_live = n_nxt
         live = nxt
-        if fixed:
-            break
-    return Distr((h, Dyadic(n, x)) for h, (n, x) in absorbed.items()), live, fixed
+    return absorbed, live if n_live else {}, parked
+
+
+def _lower(hnfs: Dict[Term, Tuple[int, int]]) -> Distr:
+    return Distr((h, Dyadic(n, x)) for h, (n, x) in hnfs.items())
 
 
 def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Distr:
     """Cumulative probability of having reached each hnf within n steps."""
-    return _run(t, n, _spine(strategy), cap, {}, {})[0]
+    return _lower(_chain(t, _NO_ARGS, n, _spine(strategy), cap, {}, {})[0][0])
 
 
 def _core(s: HeadForm) -> HeadForm:
@@ -303,232 +445,38 @@ def _diverges(live: Collection[HeadForm], spine: bool, cap: int, beta: dict, foc
     return True
 
 
-def converge(
-    t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP
-) -> Approx:
+def converge(t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Approx:
     """Run the absorbing chain and try to certify the residual as divergent.
 
-    Certification explores the successor closure of the live states; if it
+    Certification explores the successor closure of the residual; if it
     stays finite (within the cap) and never touches an hnf, no residual
-    mass can ever converge and the lower bound is exact. A chain that
-    stopped at a fixed point needs no closure: its last step absorbed
-    nothing and kept every live state live, so the live states are their
-    own closure.
+    mass can ever converge and the lower bound is exact. A chain stopped at
+    a fixed point, or with only parked states left, is its own closure.
     """
     spine = _spine(strategy)
     # the closure re-steps states that the chain just stepped, so both
     # share one contraction table and one focus table
-    beta: dict = {}
-    foci: dict = {}
-    lower, live, fixed = _run(t, steps, spine, cap, beta, foci)
-    return Approx(lower, fixed or _diverges(live, spine, cap, beta, foci))
+    beta, foci = {}, {}
+    absorbed, live, parked = _chain(t, _NO_ARGS, steps, spine, cap, beta, foci)
+    rest = [*live[0], *parked[0]] if live else ()
+    return Approx(_lower(absorbed[0]), _diverges(rest, spine, cap, beta, foci))
 
 
 def _converge_seqs(
     m: Term, seqs: Sequence[Sequence[Term]], steps: int, cap: int = DEFAULT_LEAF_CAP
 ) -> List[Approx]:
-    """`converge(m a⃗, steps, cap=cap)` under head reduction for each
-    sequence a⃗ of `seqs`, with the steps that sequences sharing a prefix
-    share taken once.
-
-    Head reduction of m a⃗ leaves a⃗ untouched until the head is an
-    abstraction with no argument left to take, the argument stack of
-    Krivine's machine. So the sequences run over the trie of their
-    argument prefixes, one node per prefix (keyed by alpha-equivalence),
-    and a node where a sequence ends while others go on gets a terminal
-    twin, followed by the ending sequences only. An entry (state, node)
-    stands for every sequence below the node, the arguments still pending
-    appended to the state's; its state has no leading binder unless its
-    node is terminal. A step that yields a leading binder or an hnf at a
-    node with children pops it: the twin keeps it, and each child a takes
-    the β-redex (λ-term) a in that same step, so every sequence sees the
-    steps of its own chain.
-
-    Weights are numerators over one shared 2^e, as in `_run`. An entry
-    whose one successor is itself (Ω) is parked: it is not stepped again,
-    and its weight, which no result reads, is not kept. The run stops at
-    the step budget, when nothing unparked is live, or at a step that
-    leaves every entry and weight as it was; each sequence's chain is
-    then at a fixed point too, or would repeat its last step. The cap
-    bounds each sequence's distinct states plus absorbed hnfs, as in
-    `converge`; the count is made per sequence only when the entries and
-    absorbed hnfs of all sequences together exceed it, since entries at
-    different nodes can stand for one state of a sequence.
-    """
-    _check_count(steps, "steps")
-    _check_count(cap, "cap")
+    """`converge(m a⃗, steps, cap=cap)` for each sequence a⃗ of `seqs`,
+    with the steps that sequences sharing a prefix share taken once."""
     if not seqs:
         return []
-    # the trie: each node's children by argument and its depth, each
-    # sequence's path of nodes from the root, and for each node where a
-    # sequence ends its terminal node (a twin when the node has children),
-    # with the sequence and the path to it
-    kids: List[Dict[Term, int]] = [{}]
-    depth = [0]
-    walks = []
-    for seq in seqs:
-        path = [0]
-        for a in seq:
-            node = path[-1]
-            child = kids[node].get(a)
-            if child is None:
-                child = kids[node][a] = len(kids)
-                kids.append({})
-                depth.append(depth[node] + 1)
-            path.append(child)
-        walks.append(path)
-    terminal: Dict[int, int] = {}
-    paths: Dict[int, Tuple[Tuple[Term, ...], List[int]]] = {}
-    for seq, path in zip(seqs, walks):
-        end = path[-1]
-        if end not in terminal:
-            t = terminal[end] = end
-            if kids[end]:
-                t = terminal[end] = len(kids)
-                kids.append({})
-                depth.append(depth[end])
-                path = path + [t]
-            paths[t] = (tuple(seq), path)
-
     beta: dict = {}
-    absorbed: Dict[int, Dict[Term, Tuple[int, int]]] = {t: {} for t in paths}
-    parked: set = set()
-    e = hnf_count = 0
-
-    def place(s: State, node: int, w: int, nxt: dict) -> bool:
-        """Enter `s`, reached at `node` with numerator `w`; whether it is a
-        live state with a choice head."""
-        nonlocal hnf_count
-        split = False
-        todo = [(s, node)]
-        while todo:
-            s, node = todo.pop()
-            below = kids[node]
-            is_live = type(s) is HeadForm
-            if below and not (is_live and s.binders == 0):
-                if is_live or type(s) is Lam:
-                    # pop: each child takes the abstraction as a β-redex
-                    lam = _as_term(s)
-                    for a, child in below.items():
-                        key = (HeadForm(0, lam, (a,)), child)
-                        if key not in parked:
-                            v = nxt.get(key)
-                            nxt[key] = w if v is None else v + w
-                else:
-                    # an hnf with no leading binder stays one under arguments
-                    todo.extend((App(s, a), child) for a, child in below.items())
-                node = terminal.get(node)
-                if node is None:
-                    continue
-            if is_live:
-                key = (s, node)
-                if key not in parked:
-                    v = nxt.get(key)
-                    if v is None:
-                        nxt[key] = w
-                        split = split or type(s.head) is Choice
-                    else:
-                        nxt[key] = v + w
-            else:
-                hnfs = absorbed[node]
-                prev = hnfs.get(s)
-                if prev is None:
-                    hnfs[s] = (w, e)
-                    hnf_count += 1
-                else:
-                    hnfs[s] = ((prev[0] << (e - prev[1])) + w, e)
-        return split
-
-    def residuals(live: dict):
-        """Each terminal node with the distinct states of its sequence's
-        chain, and whether one of them is unparked."""
-        at: Dict[int, list] = {}
-        for entries, unparked in ((live, True), (parked, False)):
-            for s, node in entries:
-                at.setdefault(node, []).append((s, unparked))
-        for t, (seq, path) in paths.items():
-            # a dict, so that the closure's order, which decides where it
-            # stops, does not depend on hashing
-            states = {}
-            open_ = False
-            for node in path:
-                rest = seq[depth[node]:]
-                for s, unparked in at.get(node, ()):
-                    # a state at a node with children has no leading binder
-                    states[HeadForm(0, s.head, s.args + rest) if rest else s] = None
-                    open_ = open_ or unparked
-            yield t, states, open_
-
-    def check_cap(live: dict) -> None:
-        if len(live) + len(parked) + hnf_count <= cap:
-            return
-        for t, states, _ in residuals(live):
-            if len(states) + len(absorbed[t]) > cap:
-                raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
-
-    live: Dict[Tuple[HeadForm, int], int] = {}
-    split = place(_decompose(m, False), 0, 1, live)
-    check_cap(live)
-    k = 0
-    fixed = False
-    while live and k < steps:
-        k += 1
-        rise = 1 if split else 0
-        e += rise
-        split = False
-        table: Dict[HeadForm, Tuple[State, ...]] = {}
-        loops = []
-        nxt: Dict[Tuple[HeadForm, int], int] = {}
-        for entry, w in live.items():
-            s, node = entry
-            out = table.get(s)
-            if out is None:
-                out = table[s] = _successor(s, False, beta)
-            if len(out) == 1:
-                w <<= rise
-                if out[0] == s:
-                    loops.append(entry)
-            for s2 in out:
-                if type(s2) is HeadForm and (not s2.binders or not kids[node]):
-                    # the common case, a state that stays at its node
-                    key = (s2, node)
-                    v = nxt.get(key)
-                    if v is not None:
-                        nxt[key] = v + w
-                    elif key not in parked:
-                        nxt[key] = w
-                        split = split or type(s2.head) is Choice
-                else:
-                    split = place(s2, node, w, nxt) or split
-        check_cap(nxt)
-        if len(nxt) == len(live):
-            for entry, w in live.items():
-                if nxt.get(entry) != w << rise:
-                    break
-            else:
-                fixed = True
-        for entry in loops:
-            parked.add(entry)
-            del nxt[entry]
-        live = nxt
-        if fixed:
-            break
-
-    # every sequence's residual is closed once the run stopped short of
-    # the budget: at a fixed point, or with only parked states left, which
-    # step onto themselves
-    if fixed or not live:
-        exact = dict.fromkeys(paths, True)
-    else:
-        exact = {
-            t: not open_ or _diverges(states, False, cap, beta, {})
-            for t, states, open_ in residuals(live)
-        }
-    results = {
-        t: Approx(Distr((h, Dyadic(n, x)) for h, (n, x) in hnfs.items()), exact[t])
-        for t, hnfs in absorbed.items()
-    }
-    return [results[terminal[path[-1]]] for path in walks]
+    trie = _trie(seqs)
+    absorbed, live, parked = _chain(m, trie, steps, False, cap, beta, {})
+    exact = {
+        t: not open_ or _diverges(states, False, cap, beta, {})
+        for t, states, open_ in _residuals(trie, live, parked)
+    } if live else {}
+    return [Approx(_lower(absorbed[t]), exact.get(t, True)) for t in trie[2]]
 
 
 def trace_tree(

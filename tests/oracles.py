@@ -267,8 +267,8 @@ def commute_witness(
 def run_every_step(
     t: Term, steps: int, step: Callable[[Term], StepOutcome], cap: int
 ) -> Tuple[Dict[Term, Dyadic], Dict[Term, Dyadic]]:
-    """The absorbing chain of `smallstep._run` over terms, iterated for all
-    `steps` steps with no stop at a fixed point."""
+    """The absorbing chain of `smallstep.step_n` over terms, iterated for
+    all `steps` steps, with no stop at a fixed point and no parking."""
     absorbed: Dict[Term, Dyadic] = {}
     live: Dict[Term, Dyadic] = {}
     (absorbed if is_hnf(t) else live)[t] = ONE
@@ -320,14 +320,14 @@ def converge_every_step(
 def converge_each(
     m: Term, arg_seqs, steps: int, cap: int = smallstep.DEFAULT_LEAF_CAP
 ) -> List[Approx]:
-    """Reference for `smallstep._converge_seqs`: one `converge` per
+    """Reference for `smallstep._converge_seqs`: one every-step chain per
     sequence, on the application spine built in full."""
     out = []
     for seq in arg_seqs:
         t = m
         for a in seq:
             t = App(t, a)
-        out.append(smallstep.converge(t, steps, cap=cap))
+        out.append(converge_every_step(t, steps, STEPS["head"], cap))
     return out
 
 

@@ -521,6 +521,24 @@ def test_applicative_compare_left_exceeds():
     assert reports[0].right.exact
 
 
+@pytest.mark.parametrize(
+    "seqs, error, match",
+    (
+        ([[1]], TypeError, "argument must be a Term, not int"),
+        (["ab"], TypeError, "argument must be a Term, not str"),
+        ([[I], [I, None]], TypeError, "argument must be a Term, not NoneType"),
+        ([[Var(0)]], ValueError, "dangling binder index"),
+        ([[I, App(I, Var(1))]], ValueError, "dangling binder index"),
+    ),
+    ids=("int", "string", "none", "index", "nested-index"),
+)
+def test_applicative_compare_rejects_bad_arguments(seqs, error, match):
+    # unchecked, an int would pass for an hnf of mass 1, a string would fail
+    # inside the chain, and ?0 would get a mass although it means nothing
+    with pytest.raises(error, match=match):
+        applicative_compare(I, OMEGA, seqs)
+
+
 def _default_pool_seqs(maxlen):
     """Every sequence of length 0..maxlen over the default pool, as `plam
     appcmp --maxlen` builds them."""

@@ -537,13 +537,16 @@ def _converged(t, n, strategy, cap=512):
     st.one_of(some_terms, st.sampled_from(LOOPING_TERMS)),
     st.integers(0, 12),
     st.sampled_from(("head", "spine")),
+    st.one_of(st.just(512), st.integers(1, 64)),
 )
-def test_fixed_point_stop_matches_every_step(t, n, strategy):
+def test_fixed_point_stop_matches_every_step(t, n, strategy, cap):
+    # a small cap: the chain must count its parked states, and raise
+    # exactly when the every-step chain outgrows the cap
     step = oracles.STEPS[strategy]
-    rows = _or_cap(lambda: step_n(t, n, strategy, cap=512))
-    assert rows == _or_cap(lambda: Distr(run_every_step(t, n, step, 512)[0].items()))
-    assert _or_cap(lambda: _converged(t, n, strategy)) == _or_cap(
-        lambda: _ref_converged(t, n, strategy)
+    rows = _or_cap(lambda: step_n(t, n, strategy, cap=cap))
+    assert rows == _or_cap(lambda: Distr(run_every_step(t, n, step, cap)[0].items()))
+    assert _or_cap(lambda: _converged(t, n, strategy, cap)) == _or_cap(
+        lambda: _ref_converged(t, n, strategy, cap)
     )
 
 

@@ -7,7 +7,6 @@ from plam import bigstep, smallstep
 from plam.bigstep import eval_fuel
 from plam.prob import Distr, Dyadic, ONE
 from plam.smallstep import (
-    DEFAULT_LEAF_CAP,
     ResourceCapExceeded,
     converge,
     head_step,
@@ -120,6 +119,31 @@ def test_non_integer_cap_rejected(entry, cap):
         entry(parse("I I"), 3, cap=cap)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    (
+        lambda t: step_n(t, 3),
+        lambda t: converge(t, 3),
+        lambda t: trace_tree(t, 3),
+        head_step,
+        spine_step,
+    ),
+    ids=("step_n", "converge", "trace_tree", "head_step", "spine_step"),
+)
+@pytest.mark.parametrize("junk", (3, "x", None))
+def test_non_terms_rejected(entry, junk):
+    # anything else would be taken for an hnf and certified at mass 1
+    with pytest.raises(TypeError, match="term must be a Term"):
+        entry(junk)
+
+
+def test_the_spine_chain_takes_no_arguments():
+    # frames and pending arguments would both claim the λ-prefix of a state
+    trie = smallstep._trie([(parse("I"),)])
+    with pytest.raises(ValueError, match="spine strategy takes no arguments"):
+        smallstep._chain(parse("I"), trie, 4, True, 16, {}, {})
+
+
 def test_cap_enforced():
     # a term that doubles its live states every step
     t = parse(r"(\x.(x (+) a) (+) (x (+) b)) c")
@@ -191,13 +215,24 @@ def test_weights_grow_with_the_steps_run_not_the_budget(monkeypatch):
     assert calls == 1
 
 
-def test_numerators_stay_small_on_a_chain_of_beta_steps():
+def test_numerators_stay_small_on_a_chain_of_beta_steps(monkeypatch):
     # a deterministic 2-cycle: no step takes a choice, so the shared
-    # exponent never rises and no numerator grows with the steps run
+    # exponent never rises and no numerator grows with the steps run; the
+    # chain's fixed-point check sees every step's live numerators
+    checks = []
+    repeats = smallstep._repeats
+
+    def recording(live, nxt, rise):
+        fixed = repeats(live, nxt, rise)
+        checks.append((max(w for states in live.values() for w in states.values()), fixed))
+        return fixed
+
+    monkeypatch.setattr(smallstep, "_repeats", recording)
     t = parse(r"(\x. (\y. x x) I) (\x. (\y. x x) I)")
-    distr, live, fixed = smallstep._run(t, 100_000, False, DEFAULT_LEAF_CAP, {}, {})
-    assert distr == Distr() and not fixed
-    assert live and all(w < 2 for w in live.values())
+    assert step_n(t, 100_000) == Distr()
+    assert len(checks) == 100_000
+    assert not any(fixed for _, fixed in checks)
+    assert max(w for w, _ in checks) < 2
 
 
 def test_cap_is_checked_before_the_fixed_point_stop():
