@@ -14,10 +14,15 @@ tables merge alpha-equivalent states. `head_step`, `spine_step` and
 
 One loop, `_chain`, runs the chains of m a⃗ for argument sequences a⃗
 at once, over the trie of their prefixes: for `_converge_seqs`, and with
-the one empty sequence for `step_n` and `converge`. Its weights are
-integers over one shared 2^e, where e rises only on a step with a choice
-head, and a state whose one successor is itself is parked, never stepped
-again. `converge` and `_converge_seqs` certify by one closure, `_diverges`.
+the one empty sequence for `step_n` and `converge`. Each round has two
+phases: it steps every live state into a list of arrivals, then places
+the arrivals by one rule, which keeps a state live at its trie node,
+absorbs an hnf at a leaf or pops a state to the node's children as more
+arrivals. The starting state is the first round's only arrival. Weights
+are integers over one shared 2^e, where e rises only on a step with a
+choice head, and a state whose one successor is itself is parked, never
+stepped again. `converge` and `_converge_seqs` certify by one closure,
+`_diverges`.
 
 Each public call owns one contraction table, from a β-redex (λ.b, a) to
 b[a], keyed by alpha-equivalence and dropped when the call returns, so a
@@ -216,47 +221,6 @@ def _trie(seqs: Sequence[Sequence[Term]]) -> Tuple[List[dict], list, List[int]]:
 _NO_ARGS = _trie(((),))
 
 
-def _enter(s: State, node: int, w: int, e: int, kids, nxt, parked, absorbed):
-    """Enter `s`, reached at `node` with the weight w/2^e, into the live
-    entries `nxt` or the absorbed hnfs; whether it added a live state with
-    a choice head, and how many live states and hnfs it added. A leading
-    binder or an hnf at a node with children pops: each child a takes the
-    β-redex (λ-term) a and the twin the state itself."""
-    split, n_live, n_hnfs = False, 0, 0
-    todo = []
-    while True:
-        below = kids[node]
-        is_live = type(s) is HeadForm
-        if below and not (is_live and s.binders == 0):
-            lam = _as_term(s) if is_live or type(s) is Lam else None
-            for a, child in below.items():
-                if a is None:
-                    todo.append((s, child))
-                else:
-                    # an hnf with no leading binder stays one under arguments
-                    todo.append((App(s, a) if lam is None else HeadForm(0, lam, (a,)), child))
-        elif is_live:
-            here = nxt.setdefault(node, {})
-            v = here.get(s)
-            if v is not None:
-                here[s] = v + w
-            elif s not in parked[node]:
-                here[s] = w
-                n_live += 1
-                split = split or type(s.head) is Choice
-        else:
-            hnfs = absorbed[node]
-            prev = hnfs.get(s)
-            if prev is None:
-                hnfs[s] = (w, e)
-                n_hnfs += 1
-            else:
-                hnfs[s] = ((prev[0] << (e - prev[1])) + w, e)
-        if not todo:
-            return split, n_live, n_hnfs
-        s, node = todo.pop()
-
-
 def _residuals(trie, live: dict, parked: list):
     """Each terminal node with the distinct states of its sequence's chain,
     pending arguments appended, and whether one is live, not parked."""
@@ -287,9 +251,10 @@ def _check_cap(trie, live: dict, parked: list, absorbed: dict, cap: int) -> None
 
 def _repeats(live: dict, nxt: dict, rise: int) -> bool:
     """Whether a step from `live` to as many entries `nxt` kept every
-    weight: it absorbed nothing then, and every later step repeats it."""
+    weight: it absorbed nothing then, and every later step repeats it. A
+    node that received nothing holds no entries."""
     for node, states in live.items():
-        after = nxt[node]
+        after = nxt.get(node, {})
         for s, w in states.items():
             if after.get(s) != w << rise:
                 return False
@@ -305,14 +270,24 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
     Head reduction leaves a⃗ untouched until the head is an abstraction
     with no argument left to take (Krivine's argument stack), so a state at
     a node, which then has no leading binder, stands for every sequence
-    below it. A step where some live head is a choice raises the shared
-    exponent e by one, doubles the numerator of each state with one
-    successor and keeps it on each branch; any other step keeps every
-    numerator. The run stops at the step budget, when nothing is live, or
-    at a fixed point (`_repeats`). The cap bounds each sequence's distinct
-    states, parked ones included, plus its absorbed hnfs, counted per
-    sequence only when all entries and hnfs together exceed it. The spine
-    strategy takes the one empty sequence only.
+    below it. Each round has two phases. The first steps every live state
+    into a list of arrivals (state, node, weight), parking a state whose
+    one successor is itself. The second places each arrival by one rule:
+    at a leaf, a live state joins the node's live entries and an hnf is
+    absorbed; at a node with children, a live state without a leading
+    binder joins them, and any other state pops, appending an arrival at
+    each child: the β-redex (λ-term) a at the child a, the state itself at
+    the twin. A state parked at its node never joins its entries again.
+    The starting state is the first round's only arrival.
+
+    A round where some placed head is a choice raises the shared exponent
+    e by one for the next step, which doubles the numerator of each state
+    with one successor and keeps it on each branch; any other step keeps
+    every numerator. The run stops at the step budget, when nothing is
+    live, or at a fixed point (`_repeats`). The cap bounds each sequence's
+    distinct states, parked ones included, plus its absorbed hnfs, counted
+    per sequence only when all entries and hnfs together exceed it. The
+    spine strategy takes the one empty sequence only.
     """
     _check_count(steps, "steps")
     _check_count(cap, "cap")
@@ -323,24 +298,59 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
     for t in trie[2]:
         absorbed[t] = {}
     parked: List[Collection[HeadForm]] = [()] * len(kids)
-    live: Dict[int, Dict[HeadForm, int]] = {}
-    split, n_live, n_hnfs = _enter(_decompose(m, spine), 0, 1, 0, kids, live, parked, absorbed)
-    if n_live + n_hnfs > cap:
-        _check_cap(trie, live, parked, absorbed, cap)
-    e = k = n_parked = 0
     # equal states at different nodes step once
     table = {} if len(kids) > 1 else None
-    while n_live and k < steps:
+    arrivals = [(_decompose(m, spine), 0, 1)]
+    append = arrivals.append
+    e = k = n_live = n_parked = n_hnfs = 0
+    while True:
+        nxt: Dict[int, Dict[HeadForm, int]] = {}
+        n_nxt = 0
+        split = False
+        node = None
+        # a pop appends to the list it walks
+        for s, at, w in arrivals:
+            if at != node:
+                node = at
+                below = kids[node]
+                holds = parked[node]
+                here = nxt.setdefault(node, {})
+            if type(s) is HeadForm and not (below and s.binders):
+                v = here.get(s)
+                if v is not None:
+                    here[s] = v + w
+                elif s not in holds:
+                    here[s] = w
+                    n_nxt += 1
+                    split = split or type(s.head) is Choice
+            elif not below:
+                hnfs = absorbed[node]
+                prev = hnfs.get(s)
+                if prev is None:
+                    hnfs[s] = (w, e)
+                    n_hnfs += 1
+                else:
+                    hnfs[s] = ((prev[0] << (e - prev[1])) + w, e)
+            else:
+                # an hnf with no leading binder stays one under arguments
+                lam = _as_term(s) if type(s) is HeadForm or type(s) is Lam else None
+                for a, child in below.items():
+                    if a is None:
+                        append((s, child, w))
+                    else:
+                        append((App(s, a) if lam is None else HeadForm(0, lam, (a,)), child, w))
+        if n_nxt + n_parked + n_hnfs > cap:
+            _check_cap(trie, nxt, parked, absorbed, cap)
+        if not n_nxt or n_nxt == n_live and _repeats(live, nxt, rise):
+            return absorbed, {}, parked
+        if k == steps:
+            return absorbed, nxt, parked
+        live, n_live = nxt, n_nxt
         k += 1
         rise = 1 if split else 0
         e += rise
-        split = False
-        nxt: Dict[int, Dict[HeadForm, int]] = {}
-        n_nxt = 0
+        arrivals.clear()
         for node, states in live.items():
-            below = kids[node]
-            holds = parked[node]
-            here = nxt.setdefault(node, {})
             for s, w in states.items():
                 if s.up is not None:
                     out = _framed(s, spine, beta, foci)
@@ -350,49 +360,18 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
                     out = table.get(s)
                     if out is None:
                         out = table[s] = _successor(s, spine, beta)
-                if len(out) == 1:
-                    if out[0]._hash == s._hash and out[0] == s:
-                        # parked: mass that reaches it is not kept
-                        if not holds:
-                            parked[node] = holds = set()
-                        holds.add(s)
-                        n_parked += 1
-                        if here.pop(s, None) is not None:
-                            n_nxt -= 1
-                        continue
-                    w <<= rise
-                for s2 in out:
-                    if type(s2) is HeadForm:
-                        if not below or not s2.binders:
-                            # the common case, a state that stays at its node
-                            v = here.get(s2)
-                            if v is not None:
-                                here[s2] = v + w
-                            elif s2 not in holds:
-                                here[s2] = w
-                                n_nxt += 1
-                                split = split or type(s2.head) is Choice
-                            continue
-                    elif not below:
-                        hnfs = absorbed[node]
-                        prev = hnfs.get(s2)
-                        if prev is None:
-                            hnfs[s2] = (w, e)
-                            n_hnfs += 1
-                        else:
-                            hnfs[s2] = ((prev[0] << (e - prev[1])) + w, e)
-                        continue
-                    more, dl, dh = _enter(s2, node, w, e, kids, nxt, parked, absorbed)
-                    split = split or more
-                    n_nxt += dl
-                    n_hnfs += dh
-        if n_nxt + n_parked + n_hnfs > cap:
-            _check_cap(trie, nxt, parked, absorbed, cap)
-        if n_nxt == n_live and _repeats(live, nxt, rise):
-            return absorbed, {}, parked
-        n_live = n_nxt
-        live = nxt
-    return absorbed, live if n_live else {}, parked
+                if len(out) == 2:
+                    append((out[0], node, w))
+                    append((out[1], node, w))
+                elif out[0]._hash == s._hash and out[0] == s:
+                    # parked: mass that reaches it is not kept
+                    holds = parked[node]
+                    if not holds:
+                        parked[node] = holds = set()
+                    holds.add(s)
+                    n_parked += 1
+                else:
+                    append((out[0], node, w << rise))
 
 
 def _lower(hnfs: Dict[Term, Tuple[int, int]]) -> Distr:
@@ -492,18 +471,18 @@ def trace_tree(
     spine = _spine(strategy)
     beta: dict = {}
     foci: dict = {}
-    count = 0
-
-    def node(s: State, p: Dyadic, depth: int) -> dict:
-        nonlocal count
-        count += 1
-        if count > cap:
+    top: List[dict] = []
+    # breadth first, over the list it extends, so depth costs no frames:
+    # each item is a node to build, with the list of its siblings
+    work = [(_decompose(t, spine), ONE, top, 0)]
+    for i, (s, p, siblings, depth) in enumerate(work):
+        if i == cap:
             raise ResourceCapExceeded(f"trace node count exceeded cap {cap}")
         entry = {"prob": p, "term": _as_term(s), "children": []}
+        siblings.append(entry)
         if depth < steps and type(s) is HeadForm:
             out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
             q = ONE if len(out) == 1 else HALF
-            entry["children"] = [node(s2, q, depth + 1) for s2 in out]
-        return entry
-
-    return node(_decompose(t, spine), ONE, 0)
+            for s2 in out:
+                work.append((s2, q, entry["children"], depth + 1))
+    return top[0]

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -551,6 +553,20 @@ def test_appcmp_sequence_cap_boundary(capsys):
     assert code == 0 and len(payload["sequences"]) == 781
     code, out, err = run(capsys, "appcmp", "I", "I", "--maxlen", "-1")
     assert (code, out) == (1, "") and "--maxlen must be non-negative" in err
+
+
+def test_readme_appcmp_run_is_pinned(capsys):
+    # the README's comparison at the sequence cap, which CI also runs
+    code, out, _ = run(capsys, "appcmp", M24, N24, "--maxlen", "4", "--format", "json")
+    assert code == 0
+    seqs = json.loads(out)["sequences"]
+    assert len(seqs) == 781
+    verdicts = Counter(s["verdict"] for s in seqs)
+    assert verdicts == {"Inconclusive": 727, "LeftExceeds": 32, "RightExceeds": 22}
+    exact = Counter((s["left"]["exact"], s["right"]["exact"]) for s in seqs)
+    assert exact == {(True, True): 749, (False, True): 32}
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "94f6aa762448ed855e2b22d0ddb8305da0a911e8fdc92c7cefc1f9eea490a4c9"
 
 
 def test_proptest_cases_cap_boundary(capsys):

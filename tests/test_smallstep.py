@@ -208,6 +208,22 @@ def test_step_n_stops_at_the_fixed_point_after_a_split(monkeypatch):
     assert out == Distr() and calls <= 3
 
 
+@pytest.mark.parametrize("src", ("I Omega (+) Omega", "Omega (+) I Omega"))
+def test_a_state_reached_in_the_round_it_parks_stays_parked(monkeypatch, src):
+    # step 2 takes I Omega onto Omega while Omega parks, once before and
+    # once after Omega's own step: neither order may leave Omega live
+    t = parse(src)
+    for n in range(11):
+        assert step_n(t, n) == Distr()
+    res = converge(t, 8)
+    assert res.exact and res.mass == Dyadic(0)
+    _, calls = _successor_calls(monkeypatch, lambda: step_n(t, 10))
+    assert calls == 3
+    with pytest.raises(ResourceCapExceeded):
+        step_n(t, 10, cap=1)
+    assert step_n(t, 10, cap=2) == Distr()
+
+
 def test_weights_grow_with_the_steps_run_not_the_budget(monkeypatch):
     # a denominator of 2^budget would take seconds to build here
     res, calls = _successor_calls(monkeypatch, lambda: converge(parse(r"(\x.x) (\x.x)"), 10**7))
@@ -407,6 +423,22 @@ def test_trace_tree_shape():
 def test_trace_tree_cap():
     with pytest.raises(ResourceCapExceeded):
         trace_tree(parse("(a (+) b) (+) (c (+) d)"), 4, cap=3)
+    # the whole tree has 1 + 2 + 4 nodes, children in branch order
+    with pytest.raises(ResourceCapExceeded):
+        trace_tree(parse("(a (+) b) (+) (c (+) d)"), 4, cap=6)
+    node = trace_tree(parse("(a (+) b) (+) (c (+) d)"), 4, cap=7)
+    assert [c["term"] for c in node["children"]] == [parse("a (+) b"), parse("c (+) d")]
+    assert [g["term"] for c in node["children"] for g in c["children"]] == [parse(x) for x in "abcd"]
+
+
+def test_trace_tree_takes_no_frame_per_step():
+    node = trace_tree(OMEGA, 2000)
+    length = 1
+    while node["children"]:
+        (node,) = node["children"]
+        assert node["term"] == OMEGA and node["prob"] == ONE
+        length += 1
+    assert length == 2001
 
 
 def _replay_commute(m, results):
