@@ -5,21 +5,25 @@ to supplies r_I. It is feasible when every subset of demands is covered
 by the supplies meeting it (a Hall-type condition); a solution assigns
 shares s_{k,I} ∈ [0,1] with p_k ≤ Σ_{I∋k} s_{k,I}·r_I and Σ_{k∈I} s_{k,I} ≤ 1.
 
-Solving runs one bipartite max flow with exact rational arithmetic:
+Solving runs one bipartite max flow (`_flow`) with exact arithmetic:
 supplies feed subset nodes, demands drain item nodes, and an uncapped
-edge I→k exists when k ∈ I. Instances are small (a CLI problem file,
-or one lifting check of the simulation game), so a plain
-augmenting-path max flow suffices. When the flow meets every
-demand, the shares are flow divided by supply. Otherwise the flow also
-decides the witness (Ford & Fulkerson, "Maximal flow through a network",
-1956). The shortfall of a set S of demands is Σ_{k∈S} p_k − Σ_{I∩S≠∅} r_I.
-A minimum cut with S on the sink side puts exactly the subsets meeting S
-there too, so it costs Σp minus the shortfall of S: the flow falls short
-of Σp by the largest shortfall, which is positive just when the problem
-is infeasible. The witness is the set of demands that can still reach
-the sink in the final residual graph. It is the sink side of the least
-minimum cut, so it is the unique inclusion-minimal set with the largest
-shortfall, whichever maximum flow was found.
+edge I→k exists when k ∈ I. Instances are small (a CLI problem file, or
+one lifting check of the simulation game), so a plain augmenting-path
+max flow suffices. A problem from the CLI (`assignment_solve`) runs on
+`Fraction`s and reports exact shares. The simulation game's weights are
+dyadic, so it scales them to integers over one 2^E and asks
+`shortfall_witness` for the witness alone, on `int`s. When the flow
+meets every demand, the shares are flow divided by supply. Otherwise the
+flow also decides the witness (Ford & Fulkerson, "Maximal flow through a
+network", 1956). The shortfall of a set S of demands is Σ_{k∈S} p_k −
+Σ_{I∩S≠∅} r_I. A minimum cut with S on the sink side puts exactly the
+subsets meeting S there too, so it costs Σp minus the shortfall of S:
+the flow falls short of Σp by the largest shortfall, which is positive
+just when the problem is infeasible. The witness is the set of demands
+that can still reach the sink in the final residual graph. It is the
+sink side of the least minimum cut, so it is the unique
+inclusion-minimal set with the largest shortfall, whichever maximum flow
+was found.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def _search(adj, cap, start: int, forward: bool, goal: int = -1) -> Dict[int, in
     return parent
 
 
-def _max_flow(adj: Dict[int, List[int]], cap: Dict[Tuple[int, int], Fraction]) -> None:
+def _max_flow(adj: Dict[int, List[int]], cap: Dict[Tuple[int, int], object]) -> None:
     """Augment along shortest residual paths from the source, node 0, to
     the sink, node 1, until none is left; `cap` becomes the residual
     capacities, so the flow on an edge is its reverse edge's capacity."""
@@ -128,27 +132,30 @@ class AssignmentSolution:
         return True
 
 
-def assignment_solve(problem: AssignmentProblem) -> Union[AssignmentSolution, Infeasible]:
-    """Disentangle a problem into per-item shares via one max flow, or
-    return the `Infeasible` witness read off its minimum cut."""
-    subsets = problem.subsets()
+def _flow(p: Sequence, r: Dict[Subset, object], subsets: Sequence[Subset]):
+    """Run the max flow of demands `p` (item k has demand p[k-1]) and the
+    positive supplies `r` over `subsets`, the keys of `r` in node order,
+    on exact numbers of one kind (ints or `Fraction`s). Returns the
+    residual capacities, the subset and item nodes, and the witness: the
+    demands that can still reach the sink, empty just when the flow meets
+    every demand."""
     subset_node = {s: 2 + i for i, s in enumerate(subsets)}
-    item_node = {k: 2 + len(subsets) + k for k in range(1, problem.n + 1)}
-    cap: Dict[Tuple[int, int], Fraction] = {}
+    item_node = {k: 2 + len(subsets) + k for k in range(1, len(p) + 1)}
+    cap: Dict[Tuple[int, int], object] = {}
     adj: Dict[int, List[int]] = {0: [], 1: []}
 
-    def add_edge(u: int, v: int, c: Fraction):
-        cap[(u, v)], cap[(v, u)] = c, Fraction(0)
+    def add_edge(u: int, v: int, c):
+        cap[(u, v)], cap[(v, u)] = c, 0
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
 
     for s in subsets:
-        add_edge(0, subset_node[s], problem.r[s])
+        add_edge(0, subset_node[s], r[s])
     for k, node in item_node.items():
-        add_edge(node, 1, problem.p[k - 1])
+        add_edge(node, 1, p[k - 1])
     # all flow enters through the supplies, whose total is below `uncapped`,
     # so a middle edge never saturates and no minimum cut contains one
-    uncapped = 1 + sum(problem.r.values(), Fraction(0))
+    uncapped = 1 + sum(r.values())
     for s in subsets:
         for k in s:
             add_edge(subset_node[s], item_node[k], uncapped)
@@ -157,6 +164,25 @@ def assignment_solve(problem: AssignmentProblem) -> Union[AssignmentSolution, In
     # or one that could pass its supply on to such a demand
     reach = _search(adj, cap, 1, False)
     witness = frozenset(k for k, node in item_node.items() if node in reach)
+    return cap, subset_node, item_node, witness
+
+
+def shortfall_witness(p: Sequence[int], r: Dict[Subset, int]) -> Subset:
+    """The `Infeasible` witness of demands `p` and supplies `r`, given as
+    non-negative ints on one scale (every value times the same 2^E, say),
+    or the empty set when the problem is feasible. Scaling every capacity
+    scales every cut alike, so the least minimum cut, and with it the
+    witness, is that of the unscaled problem; it is the same whichever
+    maximum flow is found, so the subsets go in as `r` holds them. Nothing
+    is checked, and no shares are built."""
+    return _flow(p, r, list(r))[3]
+
+
+def assignment_solve(problem: AssignmentProblem) -> Union[AssignmentSolution, Infeasible]:
+    """Disentangle a problem into per-item shares via one max flow, or
+    return the `Infeasible` witness read off its minimum cut."""
+    subsets = problem.subsets()
+    cap, subset_node, item_node, witness = _flow(problem.p, problem.r, subsets)
     if witness:
         return Infeasible(witness)
     shares: Dict[Tuple[int, Subset], Fraction] = {}

@@ -21,9 +21,10 @@ largest exponent. A sum with a single non-empty part of coefficient 1,
 such as a choice with one empty side or the body of a function part that
 is one abstraction of numerator 1, returns that part's dict unchanged
 with its exponent raised, in O(1) time. Dicts are therefore shared
-between results, and no stored dict is ever mutated. `_approx` builds
-the public `Distr` of canonical `Dyadic`s once per distinct result and
-keeps it with the result, so later lookups of that result reuse it.
+between results, and no stored dict is ever mutated. `_approx` hands a
+result's numerators and exponent to the public `Distr` directly, with no
+`Dyadic` built, once per distinct result, and keeps the `Distr` with the
+result, so later lookups of that result reuse it.
 
 An evaluation keeps three tables, keyed by α-equivalence (equality of
 nameless terms) and dropped when its caller returns (`_tables`): a memo,
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 
-from .prob import Approx, Distr, Dyadic
+from .prob import Approx, Distr, Dyadic, _Scaled
 from .syntax import App, Choice, Free, Lam, Term, Var, _check_count, substitute
 
 
@@ -141,7 +142,7 @@ def _tables() -> tuple:
 def _approx(term: Term, fuel: int, tables: tuple) -> Approx:
     out = _eval(term, fuel, *tables)
     if out[3] is None:
-        distr = Distr((h, Dyadic(n, out[1])) for h, n in out[0].items())
+        distr = Distr(_Scaled(out[0], out[1]))
         out[3] = Approx(distr, not distr.deficit)
     return out[3]
 

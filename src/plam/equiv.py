@@ -17,19 +17,26 @@ no `Term`, or has a dangling binder index, is rejected as the trie is built.
 
 A simulation block is chosen by one max flow: the lifting check poses an
 assignment problem, a demand per left state and a supply per set of left
-states that right states may still lie above, to `plam.assign`, and takes
-the block from the minimum cut of the flow it runs.
+states that right states may still lie above, scaled to integers at the
+larger of the two distributions' exponents, to `plam.assign`, and takes
+the block from the minimum cut of the flow it runs; no shares are built.
+
+A term state moves by τ alone and an hnf state by Apply labels alone, so
+`Lab.diff` tries only those labels: a bisimulation pair of one kind the
+labels of that kind, a simulation pair the labels of its left state. A
+pair of mixed kinds tries every label. The order of the labels tried is
+always that of `Lab.labels`, and a label that moves neither side
+separates nothing, so every witness is the one the full order finds.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .assign import AssignmentProblem, Infeasible, assignment_solve
-from .prob import Approx, Dyadic, Distr, ONE
-from .smallstep import _converge_seqs, converge
+from .assign import shortfall_witness
+from .prob import Approx, Dyadic, Distr, _Scaled
+from .smallstep import _converge_seqs, _trie, converge
 from .syntax import Lam, Term, _check_count, free_vars, is_closed, lam_close, pretty, substitute
 from .trees import Different, prob_tree, tree_eq
 
@@ -133,7 +140,7 @@ def _transitions(state, label, fuel: int) -> Approx:
         return Approx(res.distr.map_support(HnfState), res.exact)
     if isinstance(state, HnfState) and isinstance(label, Apply):
         succ = TermState(substitute(state.term.body, label.term))
-        return Approx(Distr([(succ, ONE)]), True)
+        return Approx(Distr(_Scaled({succ: 1}, 0)), True)
     return _EMPTY_EXACT
 
 
@@ -216,7 +223,10 @@ class Lab:
         _check_count(tree_level, "tree level")
         self.fuel = fuel
         # built once: an open pool term fails here, not mid-game
-        self.labels = (TAU,) + tuple(Apply(p) for p in pool)
+        applies = tuple(Apply(p) for p in pool)
+        self.labels = (TAU,) + applies
+        # the labels a state of each kind moves by: all others lead nowhere
+        self._moves = {TermState: (TAU,), HnfState: applies}
         self.tree_level = tree_level
         self._trans_memo: Dict[Tuple, Approx] = {}
         self._diff_memo: Dict[Tuple, Optional[object]] = {}
@@ -243,8 +253,15 @@ class Lab:
         result = None
         if bisim and self.tree_level > 0:
             result = _tree_witness(u, v, self.tree_level, self.fuel)
-        label_diff = self._bisim_label_diff if bisim else self._sim_label_diff
-        for label in self.labels:
+        # only a label that moves u (or, for bisimilarity, v) can separate;
+        # a pair of mixed kinds, or of no known kind, tries every label
+        if bisim:
+            label_diff = self._bisim_label_diff
+            labels = self._moves.get(type(u), self.labels) if type(u) is type(v) else self.labels
+        else:
+            label_diff = self._sim_label_diff
+            labels = self._moves.get(type(u), self.labels)
+        for label in labels:
             if result is not None:
                 break
             result = label_diff(u, v, label, depth)
@@ -268,8 +285,7 @@ class Lab:
         # blocks are components of the not-provably-separated graph, so
         # cross-block pairs are all certified distinct
         for block in _blocks(_components(support, sub), du, dv):
-            left = (du.lower(block), du.upper(block))
-            right = (dv.lower(block), dv.upper(block))
+            left, right = du.interval(block), dv.interval(block)
             if _disjoint(left, right):
                 used = {
                     pair: w
@@ -306,8 +322,8 @@ class Lab:
         return Witness(
             label,
             tuple(block),
-            (du.lower(block), du.upper(block)),
-            (dv.lower(image), dv.upper(image)),
+            du.interval(block),
+            dv.interval(image),
             used,
             image=tuple(image),
         )
@@ -333,20 +349,22 @@ def _sim_block(
     if len(left) == 1:
         block = left
     else:
+        # the problem on one integer scale, the larger of the two exponents
+        lnums, lexp = du.distr.numerators()
+        rnums, rexp = dv.distr.numerators()
+        top = max(lexp, rexp)
         below: Dict[object, List[int]] = {}
         for k, s1 in enumerate(left, 1):
             for s2 in above[s1]:
                 below.setdefault(s2, []).append(k)
-        supply: Dict[frozenset, Fraction] = {}
+        supply: Dict[frozenset, int] = {}
         for s2, ks in below.items():
-            w = dv.distr.weight(s2)
             key = frozenset(ks)
-            supply[key] = supply.get(key, 0) + Fraction(w.num, 1 << w.exp)
-        demand = [Fraction(w.num, 1 << w.exp) for w in map(du.distr.weight, left)]
-        verdict = assignment_solve(AssignmentProblem(demand, supply))
-        if not isinstance(verdict, Infeasible):
+            supply[key] = supply.get(key, 0) + (rnums[s2] << (top - rexp))
+        witness = shortfall_witness([lnums[s1] << (top - lexp) for s1 in left], supply)
+        if not witness:
             return None
-        block = [left[k - 1] for k in sorted(verdict.witness)]
+        block = [left[k - 1] for k in sorted(witness)]
     image = {s2 for s1 in block for s2 in above[s1]}
     return (block, image) if du.lower(block) > dv.upper(image) else None
 
@@ -464,8 +482,7 @@ def _verify(u, v, witness, lab: Lab, bisim: bool) -> bool:
     ):
         return False
     du, dv = lab.trans(u, witness.label), lab.trans(v, witness.label)
-    left = (du.lower(witness.block), du.upper(witness.block))
-    right = (dv.lower(image), dv.upper(image))
+    left, right = du.interval(witness.block), dv.interval(image)
     if left != witness.left or right != witness.right:
         return False
     support = du.distr.support() | dv.distr.support()
@@ -529,7 +546,9 @@ def applicative_compare(
     m, n = _closed_pair(m, n)
     steps = _step_budget(fuel)
     seqs = [tuple(seq) for seq in arg_seqs]
-    lefts, rights = _converge_seqs(m, seqs, steps), _converge_seqs(n, seqs, steps)
+    # built once for both sides, checking every argument before either runs
+    trie = _trie(seqs)
+    lefts, rights = _converge_seqs(m, trie, steps), _converge_seqs(n, trie, steps)
     reports = []
     for seq, left, right in zip(seqs, lefts, rights):
         if left.mass > right.upper_mass:

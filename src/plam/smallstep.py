@@ -20,9 +20,9 @@ the arrivals by one rule, which keeps a state live at its trie node,
 absorbs an hnf at a leaf or pops a state to the node's children as more
 arrivals. The starting state is the first round's only arrival. Weights
 are integers over one shared 2^e, where e rises only on a step with a
-choice head, and a state whose one successor is itself is parked, never
-stepped again. `converge` and `_converge_seqs` certify by one closure,
-`_diverges`.
+choice head, and pass to the returned `Distr` as integers; a state whose
+one successor is itself is parked, never stepped again. `converge` and
+`_converge_seqs` certify by one closure, `_diverges`.
 
 Each public call owns one contraction table, from a β-redex (λ.b, a) to
 b[a], keyed by alpha-equivalence and dropped when the call returns, so a
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Collection, Dict, List, Sequence, Tuple, Union
 
-from .prob import Approx, Dyadic, Distr, HALF, ONE
+from .prob import Approx, Dyadic, Distr, HALF, ONE, _Scaled
 from .syntax import (
     App,
     Choice,
@@ -375,7 +375,13 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
 
 
 def _lower(hnfs: Dict[Term, Tuple[int, int]]) -> Distr:
-    return Distr((h, Dyadic(n, x)) for h, (n, x) in hnfs.items())
+    """The absorbed hnfs, each a numerator at the exponent where it last
+    grew, as a `Distr` over their largest exponent."""
+    top = 0
+    for _, x in hnfs.values():
+        if x > top:
+            top = x
+    return Distr(_Scaled({h: n << (top - x) for h, (n, x) in hnfs.items()}, top))
 
 
 def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Distr:
@@ -441,15 +447,13 @@ def converge(t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEA
     return Approx(_lower(absorbed[0]), _diverges(rest, spine, cap, beta, foci))
 
 
-def _converge_seqs(
-    m: Term, seqs: Sequence[Sequence[Term]], steps: int, cap: int = DEFAULT_LEAF_CAP
-) -> List[Approx]:
-    """`converge(m a⃗, steps, cap=cap)` for each sequence a⃗ of `seqs`,
-    with the steps that sequences sharing a prefix share taken once."""
-    if not seqs:
+def _converge_seqs(m: Term, trie, steps: int, cap: int = DEFAULT_LEAF_CAP) -> List[Approx]:
+    """`converge(m a⃗, steps, cap=cap)` for each sequence a⃗ of `trie`, as
+    `_trie` builds it, with the steps that sequences sharing a prefix
+    share taken once."""
+    if not trie[2]:
         return []
     beta: dict = {}
-    trie = _trie(seqs)
     absorbed, live, parked = _chain(m, trie, steps, False, cap, beta, {})
     exact = {
         t: not open_ or _diverges(states, False, cap, beta, {})

@@ -10,6 +10,7 @@ from plam.assign import (
     AssignmentSolution,
     Infeasible,
     assignment_solve,
+    shortfall_witness,
 )
 
 
@@ -189,6 +190,42 @@ def test_exhaustive_grid_three_items():
                 assert demand > supply
             count += 1
     assert count == 27 * 2**7
+
+
+def _grid(n, demands, supplies):
+    """Every problem of `n` demands drawn from `demands` and a supply from
+    `supplies` for each nonempty subset, zero supplies left out."""
+    all_subsets = [
+        frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), k)
+    ]
+    for p in itertools.product(demands, repeat=n):
+        for values in itertools.product(supplies, repeat=len(all_subsets)):
+            yield list(p), {s: v for s, v in zip(all_subsets, values) if v}
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+def test_integer_min_cut_gives_the_fraction_witness(extra):
+    # the exhaustive grids above, every value times 2^E for E at least the
+    # largest exponent of a denominator: the cut is that of the fractions
+    quarters = [Fraction(k, 4) for k in range(5)]
+    halves = [Fraction(0), Fraction(1, 2)]
+    grids = [(2, quarters, halves), (3, [Fraction(0), Fraction(1, 2), Fraction(1)], halves)]
+    scale = 1 << (2 + extra)
+    infeasible = count = 0
+    for n, demands, supplies in grids:
+        for p, r in _grid(n, demands, supplies):
+            result = assignment_solve(AssignmentProblem(p, r))
+            witness = shortfall_witness(
+                [int(x * scale) for x in p], {s: int(v * scale) for s, v in r.items()}
+            )
+            if isinstance(result, Infeasible):
+                assert witness == result.witness
+                infeasible += 1
+            else:
+                assert witness == frozenset()
+            count += 1
+    assert count == 5**2 * 2**3 + 27 * 2**7
+    assert 0 < infeasible < count
 
 
 def _shortfall(p, r, chosen):

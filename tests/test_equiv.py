@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from plam import smallstep
+from plam import equiv, smallstep
 from plam.bigstep import eval_fuel
 from plam.equiv import (
     DEFAULT_POOL_NAMES,
@@ -651,3 +653,68 @@ def test_hnf_state_holding_no_abstraction_refused():
         verify_witness(HnfState(App(I, I)), TermState(I), None, Lab(fuel=4), bisim=True)
     with pytest.raises(ValueError, match="hnf states must be closed terms that are abstractions"):
         transitions(HnfState(App(I, I)), Apply(I), 4)
+
+
+GAME_POOL = tuple(parse(name) for name in DEFAULT_POOL_NAMES)
+
+
+def _corpus_games(small_corpus):
+    """The first 40 pairs of the small corpus with refute_bisim, refute_sim
+    and refute_sim reversed at depth 4, fuel 8, over the default pool."""
+    for m, n in list(zip(small_corpus[::2], small_corpus[1::2]))[:40]:
+        yield (
+            refute_bisim(m, n, depth=4, fuel=8, pool=GAME_POOL),
+            refute_sim(m, n, depth=4, fuel=8, pool=GAME_POOL),
+            refute_sim(n, m, depth=4, fuel=8, pool=GAME_POOL),
+        )
+
+
+def _fingerprint(w):
+    """`repr` plus the sorted sub-witness fingerprints, as the refute-corpus
+    benchmark digests a witness."""
+    if w is None:
+        return "none"
+    subs = getattr(w, "sub", {}) or {}
+    return repr(w) + "{" + ",".join(sorted(_fingerprint(s) for s in subs.values())) + "}"
+
+
+# sha256 prefixes of the three fingerprints of each pair, joined by "|"
+CORPUS_WITNESS_PINS = [
+    "d20a2b0809f6", "c12997aef06e", "d20a2b0809f6", "634a105185fb", "8bca24324ba1",
+    "e29cf452d168", "4768c4371e22", "77dd4e59efec", "e02993339c69", "e29cf452d168",
+    "c12997aef06e", "620460495715", "c12997aef06e", "c12997aef06e", "c12997aef06e",
+    "e29cf452d168", "e29cf452d168", "9b33da89e316", "8bca24324ba1", "4768c4371e22",
+    "c12997aef06e", "540d1e351656", "f323407a76b2", "e29cf452d168", "8c6267bc46cc",
+    "c12997aef06e", "c593442e3886", "3703c571f353", "38d6f4dc4050", "c12997aef06e",
+    "c8acd7ea4b88", "7aea40c24fd2", "dfe153c1ee38", "c12997aef06e", "9b33da89e316",
+    "8bca24324ba1", "8bca24324ba1", "620460495715", "d20a2b0809f6", "ab03d21b32b0",
+]
+
+
+def test_corpus_witnesses_are_pinned(small_corpus):
+    # a changed label order, block rule or interval shows here, not as a
+    # silent change in what the games print
+    found = [
+        hashlib.sha256("|".join(map(_fingerprint, ws)).encode()).hexdigest()[:12]
+        for ws in _corpus_games(small_corpus)
+    ]
+    assert found == CORPUS_WITNESS_PINS
+
+
+def test_games_probe_only_the_labels_a_state_moves_by(monkeypatch, small_corpus):
+    # every pair a game reaches from two term states is of one kind: a term
+    # state moves by τ alone, an hnf state by Apply alone
+    probes = {}
+    transitions_ = equiv._transitions
+
+    def counting(state, label, fuel):
+        key = (type(state).__name__, "tau" if label is TAU else "apply")
+        probes[key] = probes.get(key, 0) + 1
+        return transitions_(state, label, fuel)
+
+    monkeypatch.setattr(equiv, "_transitions", counting)
+    for _ in _corpus_games(small_corpus):
+        pass
+    refute_bisim(M24, N24, depth=8, fuel=6, pool=(OMEGA, I))
+    refute_sim(M48, N48, depth=6, fuel=6, pool=(I,))
+    assert set(probes) == {("TermState", "tau"), ("HnfState", "apply")}

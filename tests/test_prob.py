@@ -1,6 +1,9 @@
-import pytest
+from fractions import Fraction
 
-from plam.prob import Distr, Dyadic, point
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from plam.prob import ONE, Approx, Distr, Dyadic, _Scaled, point
 from plam.syntax import parse
 
 from oracles import frac
@@ -109,3 +112,71 @@ def test_distr_immutable():
     d = point(parse("I"))
     with pytest.raises(AttributeError):
         d._mass = Dyadic(0)
+
+
+# integer weights over 2^exp: up to six keys, zeros and repeats included
+# in the pairs, with the mass allowed to pass 1
+scaled_weights = st.integers(0, 6).flatmap(
+    lambda exp: st.tuples(
+        st.lists(st.tuples(st.sampled_from("abcdef"), st.integers(0, 1 << exp)), max_size=6),
+        st.just(exp),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_weights, st.lists(st.sampled_from("abcdef"), max_size=4), st.booleans())
+# a key whose first weight is zero comes after one first weighed later
+@example(([("b", 0), ("a", 1), ("b", 1)], 1), [], False)
+def test_distr_from_integers_equals_distr_from_dyadics(weights, keys, exact):
+    pairs, exp = weights
+    # keys in the order of their first positive weight, as the pairs put
+    # them, then the keys that only ever weigh zero
+    nums: dict = {}
+    for k, n in pairs:
+        if n:
+            nums[k] = nums.get(k, 0) + n
+    for k, _ in pairs:
+        nums.setdefault(k, 0)
+    total = Fraction(sum(nums.values()), 1 << exp)
+    if total > 1:
+        with pytest.raises(ValueError, match="exceeds 1"):
+            Distr(_Scaled(nums, exp))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            Distr((k, Dyadic(n, exp)) for k, n in pairs)
+        return
+    d = Distr(_Scaled(dict(nums), exp))
+    e = Distr((k, Dyadic(n, exp)) for k, n in pairs)
+    assert d == e and repr(d) == repr(e)
+    assert list(d.items()) == list(e.items())
+    # zero weights are dropped, and the order is that of the first positive weight
+    assert list(d.support()) == [k for k in dict.fromkeys(k for k, n in pairs if n) if nums[k]]
+    assert (d.mass, d.deficit) == (e.mass, e.deficit)
+    assert frac(d.mass) == total and frac(d.deficit) == 1 - total
+    for k in "abcdefg":
+        assert d.weight(k) == e.weight(k)
+        assert frac(d.weight(k)) == Fraction(nums.get(k, 0), 1 << exp)
+    # lowest common form: the exponent is the largest canonical one
+    num, top = d.numerators()
+    assert top == max((w.exp for _, w in d.items()), default=0)
+    assert all(Dyadic(n, top) == d.weight(k) for k, n in num.items())
+    # everything merged onto one key: {a: 1/2, b: 1/2} becomes {k: 1} at exponent 0
+    merged = d.map_support(lambda k: "k")
+    assert merged == Distr([("k", d.mass)]) if d else not merged
+    assert merged.numerators()[1] == (d.mass.exp if d else 0)
+    half = Distr((k, w * Dyadic(1, 1)) for k, w in d.items())
+    assert half.leq(d) and d.leq(e) and (d.leq(half) == (not d))
+    a = Approx(d, exact)
+    lower = sum((Fraction(nums.get(k, 0), 1 << exp) for k in keys), Fraction(0))
+    assert frac(a.lower(keys)) == lower
+    assert frac(a.upper(keys)) == lower + (0 if exact else 1 - total)
+    assert a.interval(keys) == (a.lower(keys), a.upper(keys))
+    assert a.upper_mass == (d.mass if exact else ONE)
+    assert frac(a.upper_mass) == total + (0 if exact else 1 - total)
+
+
+def test_map_support_merges_to_a_lower_exponent():
+    d = Distr(_Scaled({"a": 1, "b": 1}, 1))
+    merged = d.map_support(lambda k: "k")
+    assert merged.numerators() == ({"k": 1}, 0)
+    assert merged == Distr([("k", Dyadic(1))])

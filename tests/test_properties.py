@@ -26,7 +26,7 @@ from plam.equiv import (
 )
 from plam.gen import random_term
 from plam.prob import Approx, Distr, Dyadic, ONE, ZERO
-from plam.smallstep import _converge_seqs, converge, head_step, spine_step, step_n
+from plam.smallstep import _converge_seqs, _trie, converge, head_step, spine_step, step_n
 from plam.syntax import (
     I,
     OMEGA,
@@ -714,4 +714,7 @@ def test_converge_seqs_hits_the_cap_exactly_when_a_sequence_does(m, seqs, steps,
     def outcome(run):
         return _or_cap(lambda: [(r.distr, r.exact) for r in run(m, seqs, steps, cap)])
 
-    assert outcome(_converge_seqs) == outcome(oracles.converge_each)
+    def shared(m, seqs, steps, cap):
+        return _converge_seqs(m, _trie(seqs), steps, cap)
+
+    assert outcome(shared) == outcome(oracles.converge_each)
