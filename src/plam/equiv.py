@@ -123,6 +123,14 @@ def _closed(state) -> bool:
         type(state.term) is Lam or not isinstance(state, HnfState))
 
 
+def _hnf_state(h: Term) -> HnfState:
+    """`HnfState(h)` for an hnf `h` that a term state reaches. A closed hnf
+    starts with a binder, so any other `h` comes from an open term."""
+    if type(h) is not Lam:
+        raise ValueError("term states must be closed terms")
+    return HnfState(h)
+
+
 def _transitions(state, label, fuel: int) -> Approx:
     """`transitions` without the closedness check. The chain keeps states
     closed, a closed term reducing to closed hnfs and a closed hnf applied
@@ -134,10 +142,7 @@ def _transitions(state, label, fuel: int) -> Approx:
             raise TypeError(f"a state or label must be built by its class, not a {type(x).__name__}")
     if isinstance(state, TermState) and label is TAU:
         res = converge(state.term, _step_budget(fuel))
-        if not all(isinstance(h, Lam) for h in res.distr.support()):
-            # a closed hnf starts with a binder
-            raise ValueError("term states must be closed terms")
-        return Approx(res.distr.map_support(HnfState), res.exact)
+        return Approx(res.distr.map_support(_hnf_state), res.exact)
     if isinstance(state, HnfState) and isinstance(label, Apply):
         succ = TermState(substitute(state.term.body, label.term))
         return Approx(Distr(_Scaled({succ: 1}, 0)), True)

@@ -21,8 +21,9 @@ absorbs an hnf at a leaf or pops a state to the node's children as more
 arrivals. The starting state is the first round's only arrival. Weights
 are integers over one shared 2^e, where e rises only on a step with a
 choice head, and pass to the returned `Distr` as integers; a state whose
-one successor is itself is parked, never stepped again. `converge` and
-`_converge_seqs` certify by one closure, `_diverges`.
+one successor is itself is parked, never stepped again. Parking is the
+only early stop. `converge` is `_converge_seqs` on the one empty
+sequence, so the certification closure, `_diverges`, has one caller.
 
 Each public call owns one contraction table, from a β-redex (λ.b, a) to
 b[a], keyed by alpha-equivalence and dropped when the call returns, so a
@@ -144,9 +145,11 @@ def _attach(r: HeadForm, up: HeadForm) -> HeadForm:
     return up
 
 
-def _framed(s: HeadForm, spine: bool, beta: dict, foci: dict) -> Tuple[HeadForm, ...]:
-    """`_successor` of a state with frames, its focus stepped once per
-    `foci`, the caller's focus table."""
+def _step(s: HeadForm, spine: bool, beta: dict, foci: dict) -> Tuple[State, ...]:
+    """`_successor` of a live state; a state with frames has its focus
+    stepped once per `foci`, the caller's focus table."""
+    if s.up is None:
+        return _successor(s, spine, beta)
     focus = (s.binders, s.head, s.args)
     out = foci.get(focus)
     if out is None:
@@ -249,23 +252,11 @@ def _check_cap(trie, live: dict, parked: list, absorbed: dict, cap: int) -> None
             raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
 
 
-def _repeats(live: dict, nxt: dict, rise: int) -> bool:
-    """Whether a step from `live` to as many entries `nxt` kept every
-    weight: it absorbed nothing then, and every later step repeats it. A
-    node that received nothing holds no entries."""
-    for node, states in live.items():
-        after = nxt.get(node, {})
-        for s, w in states.items():
-            if after.get(s) != w << rise:
-                return False
-    return True
-
-
 def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: dict):
     """Run the absorbing chains of m a⃗ for the sequences a⃗ of `trie`
     together, merging equal states. Returns the absorbed hnfs of each
     terminal node, with numerator and exponent, the live entries by node,
-    empty once nothing more can be absorbed, and the parked ones.
+    empty once nothing is live, and the parked ones.
 
     Head reduction leaves a⃗ untouched until the head is an abstraction
     with no argument left to take (Krivine's argument stack), so a state at
@@ -283,8 +274,8 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
     A round where some placed head is a choice raises the shared exponent
     e by one for the next step, which doubles the numerator of each state
     with one successor and keeps it on each branch; any other step keeps
-    every numerator. The run stops at the step budget, when nothing is
-    live, or at a fixed point (`_repeats`). The cap bounds each sequence's
+    every numerator. Parking is the only early stop: the run ends when
+    nothing is live or at the step budget. The cap bounds each sequence's
     distinct states, parked ones included, plus its absorbed hnfs, counted
     per sequence only when all entries and hnfs together exceed it. The
     spine strategy takes the one empty sequence only.
@@ -302,7 +293,7 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
     table = {} if len(kids) > 1 else None
     arrivals = [(_decompose(m, spine), 0, 1)]
     append = arrivals.append
-    e = k = n_live = n_parked = n_hnfs = 0
+    e = k = n_parked = n_hnfs = 0
     while True:
         nxt: Dict[int, Dict[HeadForm, int]] = {}
         n_nxt = 0
@@ -341,25 +332,22 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
                         append((App(s, a) if lam is None else HeadForm(0, lam, (a,)), child, w))
         if n_nxt + n_parked + n_hnfs > cap:
             _check_cap(trie, nxt, parked, absorbed, cap)
-        if not n_nxt or n_nxt == n_live and _repeats(live, nxt, rise):
+        if not n_nxt:
             return absorbed, {}, parked
         if k == steps:
             return absorbed, nxt, parked
-        live, n_live = nxt, n_nxt
         k += 1
         rise = 1 if split else 0
         e += rise
         arrivals.clear()
-        for node, states in live.items():
+        for node, states in nxt.items():
             for s, w in states.items():
-                if s.up is not None:
-                    out = _framed(s, spine, beta, foci)
-                elif table is None:
-                    out = _successor(s, spine, beta)
+                if table is None:
+                    out = _step(s, spine, beta, foci)
                 else:
                     out = table.get(s)
                     if out is None:
-                        out = table[s] = _successor(s, spine, beta)
+                        out = table[s] = _step(s, spine, beta, foci)
                 if len(out) == 2:
                     append((out[0], node, w))
                     append((out[1], node, w))
@@ -406,8 +394,6 @@ def _diverges(live: Collection[HeadForm], spine: bool, cap: int, beta: dict, foc
     """Whether the successor closure of the live states stays finite,
     within `cap` states, and never touches an hnf: then no residual mass
     can ever converge."""
-    if not live:
-        return True
     # the closure is over cores, states with their leading binders
     # stripped: both strategies commute with λ, and λx.W is an hnf iff W
     # is, so a residual that only grows a λ-prefix closes too. Cores may
@@ -417,8 +403,7 @@ def _diverges(live: Collection[HeadForm], spine: bool, cap: int, beta: dict, foc
     work = list(dict.fromkeys(_core(s) for s in live))
     seen = set(work)
     for s in work:
-        out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
-        for s2 in out:
+        for s2 in _step(s, spine, beta, foci):
             if type(s2) is not HeadForm:
                 return False
             s2 = _core(s2)
@@ -435,31 +420,34 @@ def converge(t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEA
 
     Certification explores the successor closure of the residual; if it
     stays finite (within the cap) and never touches an hnf, no residual
-    mass can ever converge and the lower bound is exact. A chain stopped at
-    a fixed point, or with only parked states left, is its own closure.
+    mass can ever converge and the lower bound is exact. Parking is the
+    chain's only early stop, and a chain left with only parked states is
+    its own closure. It certifies by `_converge_seqs` on the empty sequence.
     """
-    spine = _spine(strategy)
+    return _converge_seqs(t, _NO_ARGS, steps, cap, _spine(strategy))[0]
+
+
+def _converge_seqs(
+    m: Term, trie, steps: int, cap: int = DEFAULT_LEAF_CAP, spine: bool = False
+) -> List[Approx]:
+    """`converge(m a⃗, steps, cap=cap)` for each sequence a⃗ of `trie`, as
+    `_trie` builds it, with the steps that sequences sharing a prefix
+    share taken once. `spine` takes the one empty sequence only."""
+    if not trie[2]:
+        return []
     # the closure re-steps states that the chain just stepped, so both
     # share one contraction table and one focus table
     beta, foci = {}, {}
-    absorbed, live, parked = _chain(t, _NO_ARGS, steps, spine, cap, beta, foci)
-    rest = [*live[0], *parked[0]] if live else ()
-    return Approx(_lower(absorbed[0]), _diverges(rest, spine, cap, beta, foci))
-
-
-def _converge_seqs(m: Term, trie, steps: int, cap: int = DEFAULT_LEAF_CAP) -> List[Approx]:
-    """`converge(m a⃗, steps, cap=cap)` for each sequence a⃗ of `trie`, as
-    `_trie` builds it, with the steps that sequences sharing a prefix
-    share taken once."""
-    if not trie[2]:
-        return []
-    beta: dict = {}
-    absorbed, live, parked = _chain(m, trie, steps, False, cap, beta, {})
+    absorbed, live, parked = _chain(m, trie, steps, spine, cap, beta, foci)
     exact = {
-        t: not open_ or _diverges(states, False, cap, beta, {})
+        t: not open_ or _diverges(states, spine, cap, beta, foci)
         for t, states, open_ in _residuals(trie, live, parked)
     } if live else {}
-    return [Approx(_lower(absorbed[t]), exact.get(t, True)) for t in trie[2]]
+    # a loop: before Python 3.12, a comprehension costs `converge` a frame
+    out = []
+    for t in trie[2]:
+        out.append(Approx(_lower(absorbed[t]), exact.get(t, True)))
+    return out
 
 
 def trace_tree(
@@ -485,7 +473,7 @@ def trace_tree(
         entry = {"prob": p, "term": _as_term(s), "children": []}
         siblings.append(entry)
         if depth < steps and type(s) is HeadForm:
-            out = _successor(s, spine, beta) if s.up is None else _framed(s, spine, beta, foci)
+            out = _step(s, spine, beta, foci)
             q = ONE if len(out) == 1 else HALF
             for s2 in out:
                 work.append((s2, q, entry["children"], depth + 1))

@@ -268,7 +268,7 @@ def run_every_step(
     t: Term, steps: int, step: Callable[[Term], StepOutcome], cap: int
 ) -> Tuple[Dict[Term, Dyadic], Dict[Term, Dyadic]]:
     """The absorbing chain of `smallstep.step_n` over terms, iterated for
-    all `steps` steps, with no stop at a fixed point and no parking."""
+    all `steps` steps, with no early stop and no parking."""
     absorbed: Dict[Term, Dyadic] = {}
     live: Dict[Term, Dyadic] = {}
     (absorbed if is_hnf(t) else live)[t] = ONE

@@ -518,6 +518,10 @@ LOOPING_TERMS = [
 # of live states repeats, but their weights do not
 _LEAK = r"(\x.x x (+) I) (\x.x x (+) I)"
 LOOPING_TERMS.append(parse(f"{_LEAK} (+) ({_LEAK} (+) I)"))
+# a 2-cycle beside a β-step into it: from the second step on, its live
+# states and their weights repeat after every step, and none is parked
+_CYCLE = r"(\x. (\y. x x) I) (\x. (\y. x x) I)"
+LOOPING_TERMS.append(parse(rf"{_CYCLE} (+) (\y. {_CYCLE}) I"))
 
 
 def _or_cap(run):

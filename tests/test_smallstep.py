@@ -177,7 +177,8 @@ def test_converge_stops_at_the_fixed_point(monkeypatch):
     monkeypatch.setattr(smallstep, "_successor", counting)
     res = converge(OMEGA, 48)
     assert res.distr == Distr() and res.exact
-    # one step finds Omega's self-loop, one more certifies it
+    # one step parks Omega, its own one successor; nothing is live then,
+    # so the chain ends and no closure runs
     assert 1 <= len(calls) <= 2
 
 
@@ -196,14 +197,16 @@ def _successor_calls(monkeypatch, run):
 
 
 def test_converge_skips_the_closure_after_a_fixed_point(monkeypatch):
-    # step 1 splits, step 2 re-steps Omega and Omega I onto themselves:
-    # nothing was absorbed, so the live states are their own closure
+    # step 1 splits, step 2 parks Omega and Omega I, each its own one
+    # successor: nothing is live then, so the closure never runs
     res, calls = _successor_calls(monkeypatch, lambda: converge(parse("Omega (+) Omega I"), 48))
     assert res.exact and res.mass == Dyadic(0)
     assert calls == 3
 
 
 def test_step_n_stops_at_the_fixed_point_after_a_split(monkeypatch):
+    # both branches park at step 2, and parking ends the chain long before
+    # its budget
     out, calls = _successor_calls(monkeypatch, lambda: step_n(parse("Omega (+) Omega I"), 10**7))
     assert out == Distr() and calls <= 3
 
@@ -233,25 +236,31 @@ def test_weights_grow_with_the_steps_run_not_the_budget(monkeypatch):
 
 def test_numerators_stay_small_on_a_chain_of_beta_steps(monkeypatch):
     # a deterministic 2-cycle: no step takes a choice, so the shared
-    # exponent never rises and no numerator grows with the steps run; the
-    # chain's fixed-point check sees every step's live numerators
-    checks = []
-    repeats = smallstep._repeats
-
-    def recording(live, nxt, rise):
-        fixed = repeats(live, nxt, rise)
-        checks.append((max(w for states in live.values() for w in states.values()), fixed))
-        return fixed
-
-    monkeypatch.setattr(smallstep, "_repeats", recording)
+    # exponent never rises and no numerator grows with the steps run; a
+    # numerator only ever grows, so the live ones left at the budget bound
+    # those of every step
     t = parse(r"(\x. (\y. x x) I) (\x. (\y. x x) I)")
-    assert step_n(t, 100_000) == Distr()
-    assert len(checks) == 100_000
-    assert not any(fixed for _, fixed in checks)
-    assert max(w for w, _ in checks) < 2
+    (absorbed, live, _), calls = _successor_calls(
+        monkeypatch, lambda: smallstep._chain(t, smallstep._NO_ARGS, 100_000, False, 512, {}, {})
+    )
+    assert absorbed == {0: {}}
+    assert calls == 100_000
+    assert max(w for states in live.values() for w in states.values()) < 2
+
+
+def test_a_cycle_whose_weights_repeat_runs_to_the_budget():
+    # A (+) (\y. A) I for the 2-cycle A: from the second step on, every
+    # step maps the live states and their weights onto themselves, and
+    # neither state is parked, so the chain runs every step it is given
+    a = r"(\x. (\y. x x) I) (\x. (\y. x x) I)"
+    t = parse(rf"{a} (+) (\y. {a}) I")
+    res = converge(t, 48)
+    assert res.exact and res.mass == Dyadic(0)
+    assert step_n(t, 10_000) == Distr()
 
 
 def test_cap_is_checked_before_the_fixed_point_stop():
+    # the starting state is over the cap before Omega parks and ends the chain
     with pytest.raises(ResourceCapExceeded):
         converge(OMEGA, 5, cap=0)
 
@@ -311,8 +320,8 @@ def _nodes_built_per_later_steps(monkeypatch, t, n):
 
 def test_spine_steps_do_not_rebuild_the_enclosing_redexes(monkeypatch):
     # (\x1.(\x2.…(\xk.R) a…) a) a, where the walk R = Theta (\f x.f (s x)) z
-    # never reaches an hnf, so no step is a fixed point; its first rounds
-    # make contractions the table has not seen, so steps 2..n build nodes
+    # never reaches an hnf and never parks; its first rounds make
+    # contractions the table has not seen, so steps 2..n build nodes
     inner = parse(r"Theta (\f x.f (s x)) z")
 
     def nested(k):
