@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import re
@@ -116,24 +117,6 @@ def _pt_text(pt: dict, indent: int = 0) -> List[str]:
     return lines
 
 
-def _trace_json(node: dict) -> dict:
-    return {
-        "prob": str(node["prob"]),
-        "term": pretty(node["term"]),
-        "children": [_trace_json(c) for c in node["children"]],
-    }
-
-
-def _trace_text(node: dict, shown: dict, indent: int = 0) -> List[str]:
-    """Text of the trace payload `shown`; the trace `node` it was built
-    from supplies the hnf marks, which the payload lacks."""
-    mark = "*" if is_hnf(node["term"]) else ""
-    lines = [f"{'  ' * indent}[{shown['prob']}] {shown['term']}{mark}"]
-    for c, c_shown in zip(node["children"], shown["children"]):
-        lines.extend(_trace_text(c, c_shown, indent + 1))
-    return lines
-
-
 def _witness_json(w) -> dict:
     if isinstance(w, TreeWitness):
         return {
@@ -203,13 +186,22 @@ def cmd_eval(args) -> Answer:
 
 def cmd_trace(args) -> Answer:
     t = _parse_term(args.term)
-    tree = trace_tree(t, args.steps, args.strategy, cap=args.cap)
+    nodes = trace_tree(t, args.steps, args.strategy, cap=args.cap)
     table = step_n(t, args.steps, args.strategy, cap=args.cap)
-    payload = {"tree": _trace_json(tree), "cumulative": _distr_json(table)}
+    payload = {
+        "nodes": [
+            {"depth": depth, "prob": str(p), "term": pretty(u), "hnf": is_hnf(u)}
+            for depth, p, u in nodes
+        ],
+        "cumulative": _distr_json(table),
+    }
 
     def text(p: dict) -> List[str]:
         cumulative = p["cumulative"]
-        return _trace_text(tree, p["tree"]) + [
+        return [
+            f"{'  ' * n['depth']}[{n['prob']}] {n['term']}{'*' if n['hnf'] else ''}"
+            for n in p["nodes"]
+        ] + [
             f"cumulative after {args.steps} steps (mass {cumulative['mass']}):",
             _distr_text(cumulative),
         ]
@@ -281,11 +273,7 @@ def cmd_appcmp(args) -> Answer:
             f"--maxlen {args.maxlen} over {len(pool)} pool terms gives {count}"
             f" argument sequences, above the cap {MAX_SEQUENCES}"
         )
-    seqs = [()]
-    frontier = [()]
-    for _ in range(args.maxlen):
-        frontier = [s + (p,) for s in frontier for p in pool]
-        seqs.extend(frontier)
+    seqs = [seq for k in range(args.maxlen + 1) for seq in itertools.product(pool, repeat=k)]
     reports = applicative_compare(m, n, seqs, fuel=args.fuel)
     payload = {
         "sequences": [

@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .assign import shortfall_witness
-from .prob import Approx, Dyadic, Distr, _Scaled
+from .prob import Approx, Dyadic, Distr, point
 from .smallstep import _converge_seqs, _trie, converge
 from .syntax import Lam, Term, _check_count, free_vars, is_closed, lam_close, pretty, substitute
 from .trees import Different, prob_tree, tree_eq
@@ -145,7 +145,7 @@ def _transitions(state, label, fuel: int) -> Approx:
         return Approx(res.distr.map_support(_hnf_state), res.exact)
     if isinstance(state, HnfState) and isinstance(label, Apply):
         succ = TermState(substitute(state.term.body, label.term))
-        return Approx(Distr(_Scaled({succ: 1}, 0)), True)
+        return Approx(point(succ), True)
     return _EMPTY_EXACT
 
 

@@ -9,8 +9,9 @@ Nielsen, "Refocusing in reduction semantics", 2004), pushing a frame
 when a λ-head's body is not an hnf and popping one when it becomes one;
 head reduction is the frameless case. An hnf leaves the chain as a
 plain term. Equal states decompose equal terms, so the exact n-step
-tables merge alpha-equivalent states. `head_step`, `spine_step` and
-`trace_tree` are term views of the one successor function.
+tables merge alpha-equivalent states. `trace_tree` is the term view of
+the one successor function, the reduction tree as a pre-order list of
+its nodes; `head_step` and `spine_step` read its depth-1 nodes.
 
 One loop, `_chain`, runs the chains of m a⃗ for argument sequences a⃗
 at once, over the trie of their prefixes: for `_converge_seqs`, and with
@@ -169,23 +170,19 @@ def _as_term(s: State) -> Term:
     return t
 
 
-def _step_view(t: Term, spine: bool) -> StepOutcome:
-    s = _decompose(t, spine)
-    if type(s) is not HeadForm:
-        return ((ONE, t),)
-    out = _successor(s, spine, {})
-    p = ONE if len(out) == 1 else HALF
-    return tuple((p, _as_term(s2)) for s2 in out)
+def _step_view(t: Term, strategy: str) -> StepOutcome:
+    # the depth-1 nodes of the one-step trace; an hnf has none
+    return tuple((p, u) for depth, p, u in trace_tree(t, 1, strategy) if depth) or ((ONE, t),)
 
 
 def head_step(t: Term) -> StepOutcome:
     """One step of head reduction; an hnf yields its self-loop."""
-    return _step_view(t, False)
+    return _step_view(t, "head")
 
 
 def spine_step(t: Term) -> StepOutcome:
     """One step of head spine reduction (body-first for stacked redexes)."""
-    return _step_view(t, True)
+    return _step_view(t, "spine")
 
 
 def _trie(seqs: Sequence[Sequence[Term]]) -> Tuple[List[dict], list, List[int]]:
@@ -452,29 +449,29 @@ def _converge_seqs(
 
 def trace_tree(
     t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP
-) -> dict:
-    """Expand the reduction tree to the given depth for display.
+) -> List[Tuple[int, Dyadic, Term]]:
+    """The reduction tree to the given depth, for display: its nodes in
+    pre-order as (depth, probability of the step into the node, term).
 
-    Hnfs are leaves (absorbing). Returns nested {prob, term, children}
-    dictionaries with Dyadic probabilities.
+    Hnfs are leaves (absorbing). Raises once the tree has more than `cap`
+    nodes.
     """
     _check_count(steps, "steps")
     _check_count(cap, "cap")
     spine = _spine(strategy)
     beta: dict = {}
     foci: dict = {}
-    top: List[dict] = []
-    # breadth first, over the list it extends, so depth costs no frames:
-    # each item is a node to build, with the list of its siblings
-    work = [(_decompose(t, spine), ONE, top, 0)]
-    for i, (s, p, siblings, depth) in enumerate(work):
-        if i == cap:
+    nodes: List[Tuple[int, Dyadic, Term]] = []
+    # an explicit stack, so depth costs no frames; successors are pushed
+    # in reverse so that branches keep their order
+    stack = [(0, ONE, _decompose(t, spine))]
+    while stack:
+        if len(nodes) == cap:
             raise ResourceCapExceeded(f"trace node count exceeded cap {cap}")
-        entry = {"prob": p, "term": _as_term(s), "children": []}
-        siblings.append(entry)
+        depth, p, s = stack.pop()
+        nodes.append((depth, p, _as_term(s)))
         if depth < steps and type(s) is HeadForm:
             out = _step(s, spine, beta, foci)
             q = ONE if len(out) == 1 else HALF
-            for s2 in out:
-                work.append((s2, q, entry["children"], depth + 1))
-    return top[0]
+            stack.extend((depth + 1, q, s2) for s2 in reversed(out))
+    return nodes

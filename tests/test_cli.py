@@ -87,9 +87,22 @@ def test_negative_trace_cap_rejected(capsys):
 def test_trace_json(capsys):
     code, payload, _ = run_json(capsys, "trace", "a (+) b", "--steps", "2")
     assert code == 0
-    assert payload["tree"]["prob"] == "1"
-    assert len(payload["tree"]["children"]) == 2
+    assert payload["nodes"][0]["prob"] == "1"
+    assert [n["depth"] for n in payload["nodes"]] == [0, 1, 1]
     assert payload["cumulative"]["mass"] == "1"
+
+
+@pytest.mark.parametrize("term", ("Omega", r"(\x.x x x) (\x.x x x)"))
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_trace_at_the_steps_cap(capsys, term, fmt):
+    # one node per step: the payload and its text stay flat however deep
+    code, out, err = run(capsys, "trace", term, "--steps", "512", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        nodes = json.loads(out)["nodes"]
+    else:
+        nodes = out.splitlines()[:-2]
+    assert len(nodes) == 513
 
 
 def test_trace_spine_strategy(capsys):
@@ -593,6 +606,22 @@ RENDER_GOLDEN = {
         ["bisim", "I", "I"],
         {"verdict": "inconclusive", "trace": None},
         "inconclusive (no certified difference at these bounds)\n",
+    ),
+    "trace": (
+        ["trace", "a (+) b", "--steps", "2"],
+        {
+            "nodes": [
+                {"depth": 0, "prob": "1", "term": "a (+) b", "hnf": False},
+                {"depth": 1, "prob": "1/2", "term": "a", "hnf": True},
+                {"depth": 1, "prob": "1/2", "term": "b", "hnf": True},
+            ],
+            "cumulative": {
+                "support": [{"term": "a", "prob": "1/2"}, {"term": "b", "prob": "1/2"}],
+                "mass": "1",
+            },
+        },
+        "[1] a (+) b\n  [1/2] a*\n  [1/2] b*\n"
+        "cumulative after 2 steps (mass 1):\n  1/2\ta\n  1/2\tb\n",
     ),
 }
 

@@ -26,7 +26,15 @@ from plam.equiv import (
 )
 from plam.gen import random_term
 from plam.prob import Approx, Distr, Dyadic, ONE, ZERO
-from plam.smallstep import _converge_seqs, _trie, converge, head_step, spine_step, step_n
+from plam.smallstep import (
+    _converge_seqs,
+    _trie,
+    converge,
+    head_step,
+    spine_step,
+    step_n,
+    trace_tree,
+)
 from plam.syntax import (
     I,
     OMEGA,
@@ -595,6 +603,31 @@ def test_refocused_chain_matches_the_term_chain(t, n, strategy):
     assert _or_cap(lambda: _converged(t, n, strategy)) == _or_cap(
         lambda: _ref_converged(t, n, strategy)
     )
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(
+    st.one_of(some_terms, st.sampled_from(LOOPING_TERMS)),
+    st.integers(0, 8),
+    st.sampled_from(("head", "spine")),
+)
+def test_trace_tree_matches_the_merged_chain(t, steps, strategy):
+    # the unmerged walk that `plam trace` prints against the table beside it
+    nodes = trace_tree(t, steps, strategy)
+    depths = [depth for depth, _, _ in nodes]
+    assert depths[0] == 0
+    assert all(d <= prev + 1 for prev, d in zip(depths, depths[1:]))
+    assert max(depths) <= steps
+    # the probability of each node's path, over the pre-order
+    path, reached = [], []
+    for depth, p, term in nodes:
+        del path[depth:]
+        path.append(p if depth == 0 else path[-1] * p)
+        if is_hnf(term):
+            reached.append((term, path[-1]))
+    assert Distr(reached) == step_n(t, steps, strategy)
+    with pytest.raises(ResourceCapExceeded):
+        trace_tree(t, steps, strategy, cap=len(nodes) - 1)
 
 
 def test_head_and_spine_tables_agree_on_the_branching_walk():

@@ -421,33 +421,35 @@ def test_spine_calls_retain_no_memory_between_calls():
 
 
 def test_trace_tree_shape():
-    node = trace_tree(parse("a (+) b"), 2)
-    assert node["prob"] == ONE
-    assert len(node["children"]) == 2
-    for child in node["children"]:
-        assert child["prob"] == HALF
-        assert child["children"] == []  # hnf leaves
+    # the root, then its two half-weight hnf leaves
+    assert trace_tree(parse("a (+) b"), 2) == [
+        (0, ONE, parse("a (+) b")),
+        (1, HALF, parse("a")),
+        (1, HALF, parse("b")),
+    ]
 
 
 def test_trace_tree_cap():
     with pytest.raises(ResourceCapExceeded):
         trace_tree(parse("(a (+) b) (+) (c (+) d)"), 4, cap=3)
-    # the whole tree has 1 + 2 + 4 nodes, children in branch order
+    # the whole tree has 1 + 2 + 4 nodes, in pre-order and branch order
     with pytest.raises(ResourceCapExceeded):
         trace_tree(parse("(a (+) b) (+) (c (+) d)"), 4, cap=6)
-    node = trace_tree(parse("(a (+) b) (+) (c (+) d)"), 4, cap=7)
-    assert [c["term"] for c in node["children"]] == [parse("a (+) b"), parse("c (+) d")]
-    assert [g["term"] for c in node["children"] for g in c["children"]] == [parse(x) for x in "abcd"]
+    nodes = trace_tree(parse("(a (+) b) (+) (c (+) d)"), 4, cap=7)
+    assert [(depth, term) for depth, _, term in nodes] == [
+        (0, parse("(a (+) b) (+) (c (+) d)")),
+        (1, parse("a (+) b")),
+        (2, parse("a")),
+        (2, parse("b")),
+        (1, parse("c (+) d")),
+        (2, parse("c")),
+        (2, parse("d")),
+    ]
 
 
 def test_trace_tree_takes_no_frame_per_step():
-    node = trace_tree(OMEGA, 2000)
-    length = 1
-    while node["children"]:
-        (node,) = node["children"]
-        assert node["term"] == OMEGA and node["prob"] == ONE
-        length += 1
-    assert length == 2001
+    nodes = trace_tree(OMEGA, 2000)
+    assert nodes == [(depth, ONE, OMEGA) for depth in range(2001)]
 
 
 def _replay_commute(m, results):
