@@ -410,8 +410,17 @@ def cmd_proptest(args) -> Answer:
         f = rng.randrange(0, 4)
         if not eval_fuel(t, f).distr.leq(eval_fuel(t, f + 1).distr):
             failures.append(("fuel-monotonicity", t))
+        # the head chain against the table of the spine trace: each hnf
+        # node weighted by the product of the steps on its path
         n = rng.randrange(0, 5)
-        if step_n(t, n, "head") != step_n(t, n, "spine"):
+        path: List[Dyadic] = []
+        reached = []
+        for depth, p, u in trace_tree(t, n, "spine"):
+            del path[depth:]
+            path.append(path[-1] * p if depth else p)
+            if is_hnf(u):
+                reached.append((u, path[-1]))
+        if step_n(t, n, "head") != Distr(reached):
             failures.append(("strategy-agreement", t))
     payload = {
         "cases": len(corpus),

@@ -2,16 +2,21 @@
 
 The reduction chain steps refocused states, not terms: a live state is
 the head form λⁿ.h M⃗ of a term that is not an hnf, its head the next
-redex, linked (for the spine strategy only) to the shared stack of the
-enclosing frames λᵏ.(λ.[ ]) N⃗ whose bodies are not hnfs. A step
-contracts the redex and decomposes only the contracted part (Danvy &
-Nielsen, "Refocusing in reduction semantics", 2004), pushing a frame
-when a λ-head's body is not an hnf and popping one when it becomes one;
-head reduction is the frameless case. An hnf leaves the chain as a
-plain term. Equal states decompose equal terms, so the exact n-step
-tables merge alpha-equivalent states. `trace_tree` is the term view of
-the one successor function, the reduction tree as a pre-order list of
-its nodes; `head_step` and `spine_step` read its depth-1 nodes.
+redex. A step contracts the redex and decomposes only the contracted
+part (Danvy & Nielsen, "Refocusing in reduction semantics", 2004). A
+spine state is also linked to the shared stack of the enclosing frames
+λᵏ.(λ.[ ]) N⃗ whose bodies are not hnfs: a spine step pushes a frame when
+a λ-head's body is not an hnf and pops one when it becomes one; head
+reduction is the frameless case. An hnf leaves the chain as a plain
+term. Equal states decompose equal terms, so the exact n-step tables
+merge alpha-equivalent states. `trace_tree` is the term view of the one
+successor function, the reduction tree as a pre-order list of its nodes;
+`head_step` and `spine_step` read its depth-1 nodes. Only the spine
+trace builds frames.
+
+One chain serves both strategies: on each path of choice outcomes, the
+two reach the same hnf after the same number of steps (see `step_n`), so
+`step_n` and `converge` run the head chain under either.
 
 One loop, `_chain`, runs the chains of m a⃗ for argument sequences a⃗
 at once, over the trie of their prefixes: for `_converge_seqs`, and with
@@ -30,11 +35,6 @@ Each public call owns one contraction table, from a β-redex (λ.b, a) to
 b[a], keyed by alpha-equivalence and dropped when the call returns, so a
 redex that the chain meets again (every round of a recursion through
 `Theta`) is substituted once; the certification closure shares it.
-`step_n`, `converge` and `trace_tree` also own a focus table: a framed
-state steps the same whatever its frames are, as long as its focus
-λⁿ.h M⃗ is the same, so the table maps a focus to its successors in a
-placeholder frame `_TOP`, and a framed state takes them with `_TOP`
-replaced by its own frames. Frameless states are stepped directly.
 """
 
 from __future__ import annotations
@@ -121,43 +121,6 @@ def _successor(s: HeadForm, spine: bool, beta: dict) -> Tuple[State, ...]:
         _refocus(n, head.left, args, up, spine),
         _refocus(n, head.right, args, up, spine),
     )
-
-
-# the frame a focus is stepped in for the focus table: a focus that pops
-# into it yields a form with no frames, every other successor's frames
-# end in it
-_TOP = HeadForm(0, None, ())
-
-
-def _attach(r: HeadForm, up: HeadForm) -> HeadForm:
-    """`r`, a successor of a focus in the frame `_TOP`, in the frames `up`."""
-    if r.up is _TOP:
-        return HeadForm(r.binders, r.head, r.args, up)
-    if r.up is None:
-        # the focus became an hnf: the innermost frame is the next redex
-        return HeadForm(up.binders, r.head, up.args, up.up)
-    # the step pushed frames above `_TOP`
-    pushed = []
-    while r is not _TOP:
-        pushed.append(r)
-        r = r.up
-    for f in reversed(pushed):
-        up = HeadForm(f.binders, f.head, f.args, up)
-    return up
-
-
-def _step(s: HeadForm, spine: bool, beta: dict, foci: dict) -> Tuple[State, ...]:
-    """`_successor` of a live state; a state with frames has its focus
-    stepped once per `foci`, the caller's focus table."""
-    if s.up is None:
-        return _successor(s, spine, beta)
-    focus = (s.binders, s.head, s.args)
-    out = foci.get(focus)
-    if out is None:
-        out = foci[focus] = _successor(HeadForm(*focus, _TOP), spine, beta)
-    if len(out) == 1:
-        return (_attach(out[0], s.up),)
-    return (_attach(out[0], s.up), _attach(out[1], s.up))
 
 
 def _as_term(s: State) -> Term:
@@ -249,9 +212,9 @@ def _check_cap(trie, live: dict, parked: list, absorbed: dict, cap: int) -> None
             raise ResourceCapExceeded(f"reduction state count exceeded cap {cap}")
 
 
-def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: dict):
-    """Run the absorbing chains of m a⃗ for the sequences a⃗ of `trie`
-    together, merging equal states. Returns the absorbed hnfs of each
+def _chain(m: Term, trie, steps: int, cap: int, beta: dict):
+    """Run the absorbing head chains of m a⃗ for the sequences a⃗ of
+    `trie` together, merging equal states. Returns the absorbed hnfs of each
     terminal node, with numerator and exponent, the live entries by node,
     empty once nothing is live, and the parked ones.
 
@@ -274,21 +237,18 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
     every numerator. Parking is the only early stop: the run ends when
     nothing is live or at the step budget. The cap bounds each sequence's
     distinct states, parked ones included, plus its absorbed hnfs, counted
-    per sequence only when all entries and hnfs together exceed it. The
-    spine strategy takes the one empty sequence only.
+    per sequence only when all entries and hnfs together exceed it.
     """
     _check_count(steps, "steps")
     _check_count(cap, "cap")
     kids = trie[0]
-    if spine and len(kids) > 1:
-        raise ValueError("the spine strategy takes no arguments")
     absorbed: Dict[int, Dict[Term, Tuple[int, int]]] = {}
     for t in trie[2]:
         absorbed[t] = {}
     parked: List[Collection[HeadForm]] = [()] * len(kids)
     # equal states at different nodes step once
     table = {} if len(kids) > 1 else None
-    arrivals = [(_decompose(m, spine), 0, 1)]
+    arrivals = [(_decompose(m, False), 0, 1)]
     append = arrivals.append
     e = k = n_parked = n_hnfs = 0
     while True:
@@ -340,11 +300,11 @@ def _chain(m: Term, trie, steps: int, spine: bool, cap: int, beta: dict, foci: d
         for node, states in nxt.items():
             for s, w in states.items():
                 if table is None:
-                    out = _step(s, spine, beta, foci)
+                    out = _successor(s, False, beta)
                 else:
                     out = table.get(s)
                     if out is None:
-                        out = table[s] = _step(s, spine, beta, foci)
+                        out = table[s] = _successor(s, False, beta)
                 if len(out) == 2:
                     append((out[0], node, w))
                     append((out[1], node, w))
@@ -370,37 +330,37 @@ def _lower(hnfs: Dict[Term, Tuple[int, int]]) -> Distr:
 
 
 def step_n(t: Term, n: int, strategy: str = "head", cap: int = DEFAULT_LEAF_CAP) -> Distr:
-    """Cumulative probability of having reached each hnf within n steps."""
-    return _lower(_chain(t, _NO_ARGS, n, _spine(strategy), cap, {}, {})[0][0])
+    """Cumulative probability of having reached each hnf within n steps.
+
+    On each path of choice outcomes, spine reduction contracts a redex of
+    the body M of a head redex (λy.M) N before that β-step and head
+    reduction its image in M[N/y] after it, so both reach the same hnf
+    after the same number of steps and their n-step tables are equal: both
+    strategies run the head chain, and `cap` bounds its distinct states.
+    """
+    _spine(strategy)
+    return _lower(_chain(t, _NO_ARGS, n, cap, {})[0][0])
 
 
 def _core(s: HeadForm) -> HeadForm:
-    """`s` with the binders of its outermost level stripped."""
-    frames = [s]
-    while frames[-1].up is not None:
-        frames.append(frames[-1].up)
-    if not frames[-1].binders:
-        return s
-    core = None
-    for f in reversed(frames):
-        core = HeadForm(0 if core is None else f.binders, f.head, f.args, core)
-    return core
+    """`s` with its leading binders stripped."""
+    return HeadForm(0, s.head, s.args) if s.binders else s
 
 
-def _diverges(live: Collection[HeadForm], spine: bool, cap: int, beta: dict, foci: dict) -> bool:
-    """Whether the successor closure of the live states stays finite,
-    within `cap` states, and never touches an hnf: then no residual mass
-    can ever converge."""
+def _diverges(live: Collection[HeadForm], cap: int, beta: dict) -> bool:
+    """Whether the head successor closure of the live states stays
+    finite, within `cap` states, and never touches an hnf: then no
+    residual mass can ever converge."""
     # the closure is over cores, states with their leading binders
-    # stripped: both strategies commute with λ, and λx.W is an hnf iff W
+    # stripped: head reduction commutes with λ, and λx.W is an hnf iff W
     # is, so a residual that only grows a λ-prefix closes too. Cores may
-    # hold dangling indices, which both strategies handle.
+    # hold dangling indices, which head reduction handles.
     # Breadth first, over the list it extends: a depth-first search could
     # dive into an infinite branch before it meets a nearby hnf.
     work = list(dict.fromkeys(_core(s) for s in live))
     seen = set(work)
     for s in work:
-        for s2 in _step(s, spine, beta, foci):
+        for s2 in _successor(s, False, beta):
             if type(s2) is not HeadForm:
                 return False
             s2 = _core(s2)
@@ -420,24 +380,25 @@ def converge(t: Term, steps: int, strategy: str = "head", cap: int = DEFAULT_LEA
     mass can ever converge and the lower bound is exact. Parking is the
     chain's only early stop, and a chain left with only parked states is
     its own closure. It certifies by `_converge_seqs` on the empty sequence.
+    Both strategies run the head chain and its closure, since their n-step
+    tables are equal (see `step_n`); `cap` counts head states.
     """
-    return _converge_seqs(t, _NO_ARGS, steps, cap, _spine(strategy))[0]
+    _spine(strategy)
+    return _converge_seqs(t, _NO_ARGS, steps, cap)[0]
 
 
-def _converge_seqs(
-    m: Term, trie, steps: int, cap: int = DEFAULT_LEAF_CAP, spine: bool = False
-) -> List[Approx]:
+def _converge_seqs(m: Term, trie, steps: int, cap: int = DEFAULT_LEAF_CAP) -> List[Approx]:
     """`converge(m a⃗, steps, cap=cap)` for each sequence a⃗ of `trie`, as
     `_trie` builds it, with the steps that sequences sharing a prefix
-    share taken once. `spine` takes the one empty sequence only."""
+    share taken once."""
     if not trie[2]:
         return []
     # the closure re-steps states that the chain just stepped, so both
-    # share one contraction table and one focus table
-    beta, foci = {}, {}
-    absorbed, live, parked = _chain(m, trie, steps, spine, cap, beta, foci)
+    # share one contraction table
+    beta: dict = {}
+    absorbed, live, parked = _chain(m, trie, steps, cap, beta)
     exact = {
-        t: not open_ or _diverges(states, spine, cap, beta, foci)
+        t: not open_ or _diverges(states, cap, beta)
         for t, states, open_ in _residuals(trie, live, parked)
     } if live else {}
     # a loop: before Python 3.12, a comprehension costs `converge` a frame
@@ -460,7 +421,6 @@ def trace_tree(
     _check_count(cap, "cap")
     spine = _spine(strategy)
     beta: dict = {}
-    foci: dict = {}
     nodes: List[Tuple[int, Dyadic, Term]] = []
     # an explicit stack, so depth costs no frames; successors are pushed
     # in reverse so that branches keep their order
@@ -471,7 +431,7 @@ def trace_tree(
         depth, p, s = stack.pop()
         nodes.append((depth, p, _as_term(s)))
         if depth < steps and type(s) is HeadForm:
-            out = _step(s, spine, beta, foci)
+            out = _successor(s, spine, beta)
             q = ONE if len(out) == 1 else HALF
             stack.extend((depth + 1, q, s2) for s2 in reversed(out))
     return nodes

@@ -266,6 +266,8 @@ class HeadForm:
     the frame's β-redex λᵏ.(λ.[ ]) N⃗. Forms compare and hash by all four
     parts, so two forms are equal exactly when the terms they decompose
     are, and frames are shared between the forms that reduction derives.
+    Only the spine trace (`smallstep.trace_tree`) builds frames; every
+    other form has `up` None.
     """
 
     __slots__ = ("binders", "head", "args", "up", "_hash")

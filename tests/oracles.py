@@ -287,6 +287,19 @@ def run_every_step(
     return absorbed, live
 
 
+def trace_table(t: Term, steps: int, strategy: str) -> Distr:
+    """The n-step table read off `smallstep.trace_tree`: each hnf node
+    weighted by the product of the step probabilities on its path."""
+    path: List[Dyadic] = []
+    reached = []
+    for depth, p, u in smallstep.trace_tree(t, steps, strategy):
+        del path[depth:]
+        path.append(path[-1] * p if depth else p)
+        if is_hnf(u):
+            reached.append((u, path[-1]))
+    return Distr(reached)
+
+
 def _core(t: Term) -> Term:
     while type(t) is Lam:
         t = t.body

@@ -59,7 +59,7 @@ from plam.syntax import (
 from plam.trees import Different, Equal, Unknown, prob_tree, tree_eq
 
 import oracles
-from oracles import commute_witness, frac, run_every_step
+from oracles import commute_witness, frac, run_every_step, trace_table
 
 SETTINGS = dict(deadline=None)
 
@@ -243,7 +243,8 @@ def test_abstraction_identity(t, f):
 @settings(max_examples=100, **SETTINGS)
 @given(closed_terms, st.integers(0, 5))
 def test_strategy_agreement(t, n):
-    assert step_n(t, n, "head") == step_n(t, n, "spine")
+    # the head chain against the genuine spine steps of the trace
+    assert step_n(t, n, "head") == trace_table(t, n, "spine")
 
 
 @settings(max_examples=100, **SETTINGS)
@@ -544,6 +545,25 @@ def _converged(t, n, strategy, cap=512):
     return res.distr, res.exact
 
 
+def _ref_rows(t, n, strategy, cap):
+    return Distr(run_every_step(t, n, oracles.STEPS[strategy], cap)[0].items())
+
+
+def _assert_one_chain(t, n, strategy, cap):
+    """`step_n` under `strategy` against the every-step head chain, cap
+    raising included, and against the every-step spine chain wherever
+    that stays within `cap`: both strategies run the head chain."""
+    rows = _or_cap(lambda: step_n(t, n, strategy, cap=cap))
+    ref = _or_cap(lambda: _ref_rows(t, n, "head", cap))
+    assert rows == ref
+    if rows != "cap":
+        # the same hnfs in the same order, so outputs print the same
+        assert list(rows.items()) == list(ref.items())
+    spine = _or_cap(lambda: _ref_rows(t, n, "spine", cap))
+    if spine != "cap":
+        assert step_n(t, n, "spine") == spine
+
+
 @settings(max_examples=200, **SETTINGS)
 @given(
     st.one_of(some_terms, st.sampled_from(LOOPING_TERMS)),
@@ -553,12 +573,10 @@ def _converged(t, n, strategy, cap=512):
 )
 def test_fixed_point_stop_matches_every_step(t, n, strategy, cap):
     # a small cap: the chain must count its parked states, and raise
-    # exactly when the every-step chain outgrows the cap
-    step = oracles.STEPS[strategy]
-    rows = _or_cap(lambda: step_n(t, n, strategy, cap=cap))
-    assert rows == _or_cap(lambda: Distr(run_every_step(t, n, step, cap)[0].items()))
+    # exactly when the every-step head chain outgrows the cap
+    _assert_one_chain(t, n, strategy, cap)
     assert _or_cap(lambda: _converged(t, n, strategy, cap)) == _or_cap(
-        lambda: _ref_converged(t, n, strategy, cap)
+        lambda: _ref_converged(t, n, "head", cap)
     )
 
 
@@ -593,15 +611,9 @@ def test_refocused_chain_matches_the_term_chain(t, n, strategy):
     for s in _reached(t, 4):
         assert head_step(s) == oracles.head_step(s)
         assert spine_step(s) == oracles.spine_step(s)
-    step = oracles.STEPS[strategy]
-    rows = _or_cap(lambda: step_n(t, n, strategy, cap=512))
-    ref = _or_cap(lambda: Distr(run_every_step(t, n, step, 512)[0].items()))
-    assert rows == ref
-    if rows != "cap":
-        # the same hnfs in the same order, so outputs print the same
-        assert list(rows.items()) == list(ref.items())
+    _assert_one_chain(t, n, strategy, 512)
     assert _or_cap(lambda: _converged(t, n, strategy)) == _or_cap(
-        lambda: _ref_converged(t, n, strategy)
+        lambda: _ref_converged(t, n, "head")
     )
 
 
@@ -618,23 +630,18 @@ def test_trace_tree_matches_the_merged_chain(t, steps, strategy):
     assert depths[0] == 0
     assert all(d <= prev + 1 for prev, d in zip(depths, depths[1:]))
     assert max(depths) <= steps
-    # the probability of each node's path, over the pre-order
-    path, reached = [], []
-    for depth, p, term in nodes:
-        del path[depth:]
-        path.append(p if depth == 0 else path[-1] * p)
-        if is_hnf(term):
-            reached.append((term, path[-1]))
-    assert Distr(reached) == step_n(t, steps, strategy)
+    assert trace_table(t, steps, strategy) == step_n(t, steps, strategy)
     with pytest.raises(ResourceCapExceeded):
         trace_tree(t, steps, strategy, cap=len(nodes) - 1)
 
 
 def test_head_and_spine_tables_agree_on_the_branching_walk():
-    # the agreement that the benchmark's step-table check relies on
+    # the head chain against the genuine spine steps of the walk's trace,
+    # 921 nodes at 32 steps
     walk = WALKS[1]
-    for n in range(41):
-        assert list(step_n(walk, n, "spine").items()) == list(step_n(walk, n, "head").items())
+    assert len(trace_tree(walk, 32, "spine")) == 921
+    for n in range(33):
+        assert step_n(walk, n, "head") == trace_table(walk, n, "spine")
 
 
 def _nested(inner, k):
@@ -647,18 +654,13 @@ def _nested(inner, k):
 @settings(max_examples=60, **SETTINGS)
 @given(st.sampled_from(WALKS), st.integers(0, 8), st.integers(0, 24))
 def test_framed_spine_chain_matches_the_term_chain(inner, k, n):
-    # the foci repeat under every enclosing redex, and the focus table
-    # steps each once
+    # spine steps the walk below every enclosing redex, head contracts
+    # the redexes first
     t = _nested(inner, k)
-    step = oracles.STEPS["spine"]
-    rows = _or_cap(lambda: step_n(t, n, "spine", cap=512))
-    ref = _or_cap(lambda: Distr(run_every_step(t, n, step, 512)[0].items()))
-    assert rows == ref
-    if rows != "cap":
-        assert list(rows.items()) == list(ref.items())
+    _assert_one_chain(t, n, "spine", 512)
     # a small cap: the plain walk's closure grows until it hits the cap
     assert _or_cap(lambda: _converged(t, n, "spine", 64)) == _or_cap(
-        lambda: _ref_converged(t, n, "spine", 64)
+        lambda: _ref_converged(t, n, "head", 64)
     )
 
 

@@ -14,7 +14,7 @@ from plam.smallstep import (
     step_n,
     trace_tree,
 )
-from plam.syntax import App, Choice, Free, Lam, OMEGA, is_hnf, parse
+from plam.syntax import App, Choice, Lam, OMEGA, is_hnf, parse
 
 from oracles import commute_witness
 
@@ -137,13 +137,6 @@ def test_non_terms_rejected(entry, junk):
         entry(junk)
 
 
-def test_the_spine_chain_takes_no_arguments():
-    # frames and pending arguments would both claim the λ-prefix of a state
-    trie = smallstep._trie([(parse("I"),)])
-    with pytest.raises(ValueError, match="spine strategy takes no arguments"):
-        smallstep._chain(parse("I"), trie, 4, True, 16, {}, {})
-
-
 def test_cap_enforced():
     # a term that doubles its live states every step
     t = parse(r"(\x.(x (+) a) (+) (x (+) b)) c")
@@ -241,7 +234,7 @@ def test_numerators_stay_small_on_a_chain_of_beta_steps(monkeypatch):
     # those of every step
     t = parse(r"(\x. (\y. x x) I) (\x. (\y. x x) I)")
     (absorbed, live, _), calls = _successor_calls(
-        monkeypatch, lambda: smallstep._chain(t, smallstep._NO_ARGS, 100_000, False, 512, {}, {})
+        monkeypatch, lambda: smallstep._chain(t, smallstep._NO_ARGS, 100_000, 512, {})
     )
     assert absorbed == {0: {}}
     assert calls == 100_000
@@ -300,39 +293,13 @@ def test_converge_certifies_a_growing_binder_prefix():
         assert res.exact and res.upper_mass == Dyadic(0)
 
 
-def _nodes_built_per_later_steps(monkeypatch, t, n):
-    """Lam/App/Choice nodes built by spine steps 2..n of `t`."""
-    count = [0]
-    for cls in (Lam, App, Choice):
-        init = cls.__init__
-
-        def counting(self, *args, _init=init):
-            count[0] += 1
-            _init(self, *args)
-
-        monkeypatch.setattr(cls, "__init__", counting)
-    step_n(t, 1, "spine")
-    first = count[0]
-    step_n(t, n, "spine")
-    monkeypatch.undo()
-    return count[0] - 2 * first
-
-
-def test_spine_steps_do_not_rebuild_the_enclosing_redexes(monkeypatch):
-    # (\x1.(\x2.…(\xk.R) a…) a) a, where the walk R = Theta (\f x.f (s x)) z
-    # never reaches an hnf and never parks; its first rounds make
-    # contractions the table has not seen, so steps 2..n build nodes
-    inner = parse(r"Theta (\f x.f (s x)) z")
-
-    def nested(k):
-        t = inner
-        for _ in range(k):
-            t = App(Lam(t), Free("a"))
-        return t
-
-    shallow = _nodes_built_per_later_steps(monkeypatch, nested(5), 30)
-    deep = _nodes_built_per_later_steps(monkeypatch, nested(60), 30)
-    assert shallow == deep > 0
+def test_spine_converge_certifies_by_the_head_closure():
+    # a closure over spine states, with their frames, certified neither;
+    # the head residual only grows a λ-prefix
+    for src, n in ((r"(\x.x x x) (\x y z.x x)", 40), (r"(\x.x x x) (\x.(\y z.x y) (x x))", 3)):
+        for strategy in ("head", "spine"):
+            res = converge(parse(src), n, strategy)
+            assert res.exact and res.upper_mass == Dyadic(0)
 
 
 BRANCHING_WALK = r"Theta (\f x.x (+) (f (a x) (+) f (b x))) z"
@@ -380,25 +347,40 @@ def test_head_chain_contracts_each_redex_once(monkeypatch):
     assert 0 < calls < beta_steps[0]
 
 
-def test_spine_chain_steps_each_focus_once(monkeypatch):
-    # a body below enclosing redexes steps the same whatever they are, so
-    # one call contracts and refocuses each focus once: here 782 foci,
-    # where stepping every state anew makes 14 586 successor calls
-    foci = []
+def test_no_frame_reaches_the_chain_or_the_closure(monkeypatch):
+    # both strategies run the one head chain and its closure; a spine step
+    # of this 2-cycle would push a frame for the body (\y.y y) x
+    t = parse(r"(\x.(\y.y y) x) (\x.(\y.y y) x)")
+    states = []
     successor = smallstep._successor
 
-    def counting(s, *rest):
-        foci.append((s.binders, s.head, s.args))
+    def recording(s, *rest):
+        states.append(s)
         return successor(s, *rest)
 
-    monkeypatch.setattr(smallstep, "_successor", counting)
-    step_n(parse(BRANCHING_WALK), 52, "spine")
-    assert len(foci) == len(set(foci)) > 0
+    monkeypatch.setattr(smallstep, "_successor", recording)
+    assert step_n(t, 64, "spine") == Distr()
+    res = converge(t, 64, "spine")
+    assert res.exact and res.mass == Dyadic(0)
+    assert states and all(s.up is None for s in states)
+
+
+def test_the_cap_counts_head_states_under_both_strategies():
+    # the least cap at which the spine chain of this term ran 30 steps was
+    # 3; the head chain's is 2
+    t = parse(r"(\x y.(x (+) y) (+) y) (\x.x)")
+    assert step_n(t, 30, "spine", cap=2) == step_n(t, 30, "head", cap=2)
+    spine, head = (converge(t, 30, strategy, cap=2) for strategy in ("spine", "head"))
+    assert (spine.distr, spine.exact) == (head.distr, head.exact)
+    for run in (step_n, converge):
+        for strategy in ("head", "spine"):
+            with pytest.raises(ResourceCapExceeded):
+                run(t, 30, strategy, cap=1)
 
 
 def test_spine_calls_retain_no_memory_between_calls():
-    # twenty distinct branching walks: a focus or contraction table that
-    # outlives its call keeps every state of every one of them alive
+    # twenty distinct branching walks: a contraction table that outlives
+    # its call keeps every state of every one of them alive
     walk = r"Theta (\f x.x (+) (f (a{0} x) (+) f (b{0} x))) z"
     for run in (
         lambda t: step_n(t, 32, "spine"),
